@@ -9,12 +9,14 @@
 //                KVStore::submit/wait directly (fig10's batched shape):
 //                the upper reference, no transport at all.
 //   shm        — the same client count as separate PROCESSES
-//                (tools/ipc_client) over the file-backed arena + futex
-//                transport, one session thread each.
+//                (tools/ipc_client) over the file-backed arena
+//                transport, each arena served in place by the svc worker
+//                that owns its session.
 //
-// Expected shape: shm trails in-process — each op crosses two futex
-// wakeups and a session thread instead of a function call — but stays
-// in the same order of magnitude; its p99 includes the server poll tick.
+// Expected shape: shm trails in-process in throughput — the client
+// processes and the workers share the cores, and a parked client costs
+// a futex wake — but its p50 sits near the in-process one; its p99
+// includes the client processes' park ticks.
 //
 // Table "kill storm" — remote clients run the same workload while the
 // driver SIGKILLs one every storm tick and immediately respawns a

@@ -17,11 +17,6 @@
 namespace bdhtm::ipc {
 
 namespace {
-// Park tick: the upper bound on how stale a client's view of server
-// death can be while parked. Every tick re-checks phase + server pid
-// and advances the heartbeat.
-constexpr std::uint64_t kTickNs = 20'000'000;  // 20 ms
-
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -39,6 +34,7 @@ ShmClient::Err ShmClient::connect(const std::string& dir,
   }
   fault_ = ClientFaultArm{opt.fault};
   call_timeout_ns_ = opt.call_timeout_ns;
+  beats_ = 1;
   slots_n_ = opt.slots;
   generation_ = mix64(static_cast<std::uint64_t>(getpid()) ^ mono_ns());
   if (generation_ == 0) generation_ = 1;
@@ -90,7 +86,7 @@ ShmClient::Err ShmClient::connect(const std::string& dir,
     if (ph == kAccepted) return Err::kOk;
     if (ph == kRefused || ph == kServerClosed) break;
     if (mono_ns() >= deadline) break;
-    futex_wait(&h->phase, ph, kTickNs);
+    futex_wait(&h->phase, ph, kParkTickNs);
   }
   disconnect();
   return Err::kConnect;
@@ -112,7 +108,10 @@ int ShmClient::submit(WireOp op, std::uint64_t key, std::uint64_t value) {
   ArenaHdr* h = hdr();
   Slot* slots = arena_slots(base_);
   int idx = -1;
-  for (std::uint32_t i = 0; i < slots_n_; ++i) {
+  // Start at the slot wait() freed last: in a closed loop it is the free
+  // one, and its line is still in this core's cache.
+  for (std::uint32_t k = 0; k < slots_n_; ++k) {
+    const std::uint32_t i = (free_hint_ + k) % slots_n_;
     if (slots[i].state.load(std::memory_order_relaxed) == kSlotFree) {
       idx = static_cast<int>(i);
       break;
@@ -136,12 +135,11 @@ int ShmClient::submit(WireOp op, std::uint64_t key, std::uint64_t value) {
   s.submit_ns = mono_ns();
   fault_.hit(ClientFaultPoint::kBeforePublish);
   // Publish: the request's commit point. A death before this line left
-  // nothing visible; after it, a well-formed request.
+  // nothing visible; after it, a well-formed request. No wake: the svc
+  // worker that owns this arena scans it on every loop.
   s.state.store(kSlotReq, std::memory_order_release);
-  h->req_doorbell.fetch_add(1, std::memory_order_release);
-  h->heartbeat.fetch_add(1, std::memory_order_relaxed);
-  fault_.hit(ClientFaultPoint::kAfterPublishBeforeFutex);
-  futex_wake(&h->req_doorbell, 1);
+  beat();
+  fault_.hit(ClientFaultPoint::kAfterPublish);
   return idx;
 }
 
@@ -150,23 +148,26 @@ ShmClient::Err ShmClient::wait(int slot, Reply* out) {
       static_cast<std::uint32_t>(slot) >= slots_n_) {
     return Err::kServerGone;
   }
-  ArenaHdr* h = hdr();
   Slot& s = arena_slots(base_)[static_cast<std::uint32_t>(slot)];
   const std::uint64_t deadline = mono_ns() + call_timeout_ns_;
-  // Short spin first: closed-loop round trips usually resolve in the
-  // server's same poll iteration, cheaper than a park + wake pair.
+  // Short spin first: closed-loop round trips usually resolve within the
+  // worker's next batch, cheaper than a park + wake pair.
   for (int i = 0; i < 4096; ++i) {
     if (s.state.load(std::memory_order_acquire) == kSlotDone) break;
   }
-  for (;;) {
-    const std::uint32_t st = s.state.load(std::memory_order_acquire);
-    if (st == kSlotDone) break;
+  while (s.state.load(std::memory_order_acquire) != kSlotDone) {
     const Err alive = check_server_alive();
     if (alive != Err::kOk) return alive;
     if (mono_ns() >= deadline) return Err::kTimeout;
-    h->heartbeat.fetch_add(1, std::memory_order_relaxed);
+    beat();
     fault_.hit(ClientFaultPoint::kWhileParked);
-    futex_wait(&s.state, st, kTickNs);
+    // Dekker with the server's reply (wire.hpp, Slot::parked): announce
+    // the park, then re-read the state; the futex compare covers the
+    // rest of the window.
+    s.parked.store(1, std::memory_order_seq_cst);
+    const std::uint32_t st = s.state.load(std::memory_order_seq_cst);
+    if (st != kSlotDone) futex_wait(&s.state, st, kParkTickNs);
+    s.parked.store(0, std::memory_order_relaxed);
   }
   fault_.hit(ClientFaultPoint::kAfterResponseWritten);
   if (out != nullptr) {
@@ -176,7 +177,8 @@ ShmClient::Err ShmClient::wait(int slot, Reply* out) {
     out->complete_epoch = s.complete_epoch;
   }
   s.state.store(kSlotFree, std::memory_order_release);
-  h->heartbeat.fetch_add(1, std::memory_order_relaxed);
+  free_hint_ = static_cast<std::uint32_t>(slot);
+  beat();
   return Err::kOk;
 }
 
@@ -196,7 +198,7 @@ std::uint64_t ShmClient::span_of(int slot) const {
 }
 
 void ShmClient::heartbeat() {
-  if (connected()) hdr()->heartbeat.fetch_add(1, std::memory_order_relaxed);
+  if (connected()) beat();
 }
 
 void ShmClient::disconnect() {
@@ -207,9 +209,6 @@ void ShmClient::disconnect() {
   std::uint32_t ph = h->phase.load(std::memory_order_acquire);
   if (ph == kHello || ph == kAccepted) {
     h->phase.store(kGoodbye, std::memory_order_release);
-    futex_wake(&h->phase, 1);
-    h->req_doorbell.fetch_add(1, std::memory_order_release);
-    futex_wake(&h->req_doorbell, 1);
   }
   munmap(base_, map_bytes_);
   base_ = nullptr;

@@ -29,6 +29,11 @@ class ShmClient {
     ClientFaultPlan fault{};
   };
 
+  /// Park tick: the longest a parked wait() sleeps before it re-checks
+  /// the server's liveness and advances the heartbeat. A reply whose
+  /// wake is lost shows up as a call this much slower, never a hang.
+  static constexpr std::uint64_t kParkTickNs = 20'000'000;  // 20 ms
+
   enum class Err : std::uint8_t {
     kOk = 0,
     kConnect,     // server never accepted / refused the hello
@@ -90,6 +95,8 @@ class ShmClient {
  private:
   ArenaHdr* hdr() { return static_cast<ArenaHdr*>(base_); }
   Err check_server_alive();
+  /// Advance the lease heartbeat (this thread is its only writer).
+  void beat() { hdr()->heartbeat.store(++beats_, std::memory_order_relaxed); }
 
   void* base_ = nullptr;
   std::size_t map_bytes_ = 0;
@@ -97,6 +104,8 @@ class ShmClient {
   std::uint64_t generation_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t call_timeout_ns_ = 0;
+  std::uint32_t free_hint_ = 0;
+  std::uint64_t beats_ = 0;
   std::string path_;
   ClientFaultArm fault_{};
 };

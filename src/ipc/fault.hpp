@@ -22,9 +22,9 @@ namespace bdhtm::ipc {
 /// plan through submit()/wait()):
 ///  - kBeforePublish: payload written, slot NOT yet published (state
 ///    still kFree). The half-written request must never execute.
-///  - kAfterPublishBeforeFutex: slot published + doorbell bumped, but
-///    the wake syscall never issued. The server must still find the
-///    request via its bounded poll tick.
+///  - kAfterPublish: slot published, submit() not yet returned. The
+///    worker finds the request by scanning the arena and executes it;
+///    its reply is orphaned.
 ///  - kWhileParked: in wait(), in place of entering the futex park.
 ///    The response (if any) is orphaned; the slot must be reclaimed.
 ///  - kAfterResponseWritten: the client observed kDone but dies before
@@ -32,7 +32,7 @@ namespace bdhtm::ipc {
 enum class ClientFaultPoint : std::uint8_t {
   kNone = 0,
   kBeforePublish,
-  kAfterPublishBeforeFutex,
+  kAfterPublish,
   kWhileParked,
   kAfterResponseWritten,
   kNumPoints,
@@ -44,8 +44,8 @@ inline const char* fault_point_name(ClientFaultPoint p) {
       return "none";
     case ClientFaultPoint::kBeforePublish:
       return "before_publish";
-    case ClientFaultPoint::kAfterPublishBeforeFutex:
-      return "after_publish_before_futex";
+    case ClientFaultPoint::kAfterPublish:
+      return "after_publish";
     case ClientFaultPoint::kWhileParked:
       return "while_parked";
     case ClientFaultPoint::kAfterResponseWritten:

@@ -15,11 +15,11 @@
 namespace bdhtm::ipc {
 
 inline constexpr std::uint64_t kArenaMagic = 0xbda7e7a05107c0deULL;
-/// v2: request slots carry submit_ns + span_id (end-to-end tracing), the
-/// header carries the clock-handshake stamps. Version mismatches are
-/// refused at accept, as before.
-inline constexpr std::uint32_t kWireVersion = 2;
-/// Per-client in-flight bound; one 64-bit scan word covers a full arena.
+/// v3: no doorbell; each slot carries a `parked` word and the server
+/// wakes only clients that set it. v2 added submit_ns + span_id per slot
+/// and the clock-handshake stamps. Version mismatches are refused.
+inline constexpr std::uint32_t kWireVersion = 3;
+/// Per-client in-flight bound.
 inline constexpr std::uint32_t kMaxSlots = 64;
 /// Header page size; slots start at this offset.
 inline constexpr std::size_t kHeaderBytes = 4096;
@@ -58,14 +58,15 @@ enum WireStatus : std::uint32_t {
   kStClosed = 3,
   kStUnsupported = 4,
   kStClientGone = 5,
+  kStInvalid = 6,  // op kind or key outside what the store accepts
 };
 
 /// Slot state machine (Slot::state, a futex word):
 ///
-///   kFree --client publishes--> kReq --server picks up--> kExec
-///        ^                                                   |
-///        |                                 server writes reply, wakes
-///        +------------client consumes------ kDone <----------+
+///   kFree --client publishes--> kReq --worker pulls--> kExec
+///        ^                                               |
+///        |                              worker writes reply
+///        +------------client consumes------ kDone <------+
 ///
 /// The kFree->kReq store (release) is the request's atomic commit point:
 /// a client killed before it leaves a half-written payload that is
@@ -83,19 +84,24 @@ enum SlotState : std::uint32_t {
 struct alignas(128) Slot {
   /// SlotState; futex word the client parks on for the response.
   std::atomic<std::uint32_t> state{kSlotFree};
+  /// 1 while the client is (about to be) parked on `state`. Dekker pair,
+  /// all four accesses seq_cst: the client stores 1 then re-reads
+  /// `state` before it sleeps; the server stores kSlotDone then reads
+  /// this word and wakes only when it is set. One of the two always sees
+  /// the other's store, so no wake is lost and none is wasted.
+  std::atomic<std::uint32_t> parked{0};
   /// Deadman ownership stamp: the publishing process and its session
   /// generation. The server validates both against the arena header
   /// before executing — a stale stamp (pid reuse, recycled arena) is
   /// shed, never executed.
   std::uint32_t owner_pid = 0;
+
+  // ---- request payload (owned by client until state == kReq) ----
+  std::uint32_t op = kOpGet;  // WireOp
   std::uint64_t generation = 0;
   /// Client-assigned request sequence number, echoed in resp_seq so a
   /// reply can never be attributed to the wrong incarnation of a slot.
   std::uint64_t seq = 0;
-
-  // ---- request payload (owned by client until state == kReq) ----
-  std::uint32_t op = kOpGet;  // WireOp
-  std::uint32_t pad0 = 0;
   std::uint64_t key = 0;
   std::uint64_t value = 0;
   /// Client's CLOCK_MONOTONIC at publish. Both processes run on one
@@ -133,10 +139,6 @@ struct ArenaHdr {
   /// Filled by the server on accept; lets the client detect server death
   /// (kill(server_pid, 0) == ESRCH) while parked.
   std::uint32_t server_pid = 0;
-  /// Doorbell: client bumps + wakes after publishing a request; the
-  /// server parks on it (bounded by its poll tick) when idle.
-  std::atomic<std::uint32_t> req_doorbell{0};
-  std::uint32_t pad0 = 0;
   /// Lease heartbeat: the client must advance this at least once per
   /// server lease period or the session is reclaimed (deadman switch —
   /// catches both silent death with a reused pid and a wedged client).

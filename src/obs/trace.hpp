@@ -39,12 +39,12 @@ enum class TraceEventType : std::uint16_t {
   // ---- Request spans (ISSUE 8): per-request lifecycle stages. Every
   // event carries the request's span id in `a` so a merged client+server
   // Perfetto trace ties one request's stages together end-to-end. The
-  // client-side stages (enqueue, futex wake) are emitted by the
+  // client-side stages (publish, round trip) are emitted by the
   // dependency-free recorder in src/ipc/span.hpp, not through these
   // rings; both sides stamp the same host-wide CLOCK_MONOTONIC.
   kReqQueue,          // complete; a=span id, b=arena slot — client
-                      //   submit stamp -> server dequeue (transport +
-                      //   doorbell + svc queue wait)
+                      //   submit stamp -> svc worker pull (transport +
+                      //   wait for the worker's next pass)
   kReqExec,           // complete; a=span id, b=shard — the batched
                       //   envelope execution the request rode in
                       //   (HTM attempts + fallback, shared per batch)

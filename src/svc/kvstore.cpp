@@ -26,6 +26,8 @@ const char* status_name(Status s) {
       return "unsupported";
     case Status::kClientGone:
       return "client_gone";
+    case Status::kInvalid:
+      return "invalid";
   }
   return "?";
 }
@@ -55,8 +57,10 @@ KVStore::KVStore(epoch::EpochSys& es, const KVStoreConfig& cfg)
   if (cfg_.workers > cfg_.clients) cfg_.workers = cfg_.clients;
   if (cfg_.max_batch < 1) cfg_.max_batch = 1;
 
+  key_max_ = ~std::uint64_t{0};
   for (int s = 0; s < ns; ++s) {
     shards_.push_back(make_shard(cfg_.backend, es_, cfg_.shard_opt));
+    key_max_ = std::min(key_max_, shards_.back()->max_key());
     const std::string base = "svc.shard" + std::to_string(s);
     h_shard_depth_.push_back(&reg().histogram(base + ".backlog"));
     c_shard_ops_.push_back(&reg().counter(base + ".ops"));
@@ -65,6 +69,8 @@ KVStore::KVStore(epoch::EpochSys& es, const KVStoreConfig& cfg)
     queues_.push_back(
         std::make_unique<SpscQueue<Request*>>(cfg_.queue_capacity));
   }
+  sources_ = std::make_unique<std::atomic<Source*>[]>(
+      static_cast<std::size_t>(cfg_.clients));
   if (cfg_.start_workers) {
     for (int w = 0; w < cfg_.workers; ++w) {
       workers_.emplace_back([this, w] { worker_main(w); });
@@ -75,6 +81,11 @@ KVStore::KVStore(epoch::EpochSys& es, const KVStoreConfig& cfg)
 KVStore::~KVStore() { close(); }
 
 void KVStore::mark_done(Request* req) {
+  if (req->source != nullptr) {
+    --req->source->in_flight_;
+    req->source->complete(*req);
+    return;
+  }
   // Resolver side of the spin-then-park handshake: the notify syscall is
   // paid only when the waiter already parked (CASed kQueued->kWaiting).
   const std::uint32_t prev =
@@ -82,15 +93,30 @@ void KVStore::mark_done(Request* req) {
   if (prev == Request::kWaiting) req->state.notify_all();
 }
 
-bool KVStore::submit(int client, Request* req) {
+bool KVStore::admit(Request* req) {
   req->t_submit_ns = now_ns();
   req->complete_epoch = 0;
   req->state.store(Request::kQueued, std::memory_order_relaxed);
+  // The arena path hands over client-written op and key: an op kind
+  // outside the three would match no case of apply_batch (and report
+  // kOk), a key past the backend's range would index out of the vEB or
+  // store BD-Spash's empty marker.
+  using Kind = epoch::BatchOp::Kind;
+  const auto kind = static_cast<std::uint8_t>(req->op.kind);
   if (closed_.load(std::memory_order_acquire)) {
     req->status = Status::kClosed;
-    mark_done(req);
-    return false;
+  } else if (kind > static_cast<std::uint8_t>(Kind::kRemove) ||
+             req->op.key > key_max_) {
+    req->status = Status::kInvalid;
+  } else {
+    return true;
   }
+  mark_done(req);
+  return false;
+}
+
+bool KVStore::submit(int client, Request* req) {
+  if (!admit(req)) return false;
   auto& q = *queues_[client];
   if (!q.try_push(req)) {
     shed_.fetch_add(1, std::memory_order_relaxed);
@@ -317,6 +343,57 @@ void KVStore::release_parked(WorkerCtx& ctx, bool force_advance) {
   }
 }
 
+void KVStore::attach(int client, Source* src) {
+  std::lock_guard<std::mutex> g(close_mu_);
+  if (swept_) {  // closed: nobody will pull
+    src->state_.store(Source::kDetached, std::memory_order_release);
+    return;
+  }
+  src->state_.store(Source::kAttached, std::memory_order_relaxed);
+  sources_[client].store(src, std::memory_order_release);
+}
+
+void KVStore::detach(Source* src) {
+  std::uint32_t st = Source::kAttached;
+  src->state_.compare_exchange_strong(st, Source::kDetachRequested,
+                                      std::memory_order_acq_rel);
+  if (cfg_.start_workers) return;  // the owning worker completes it
+  std::lock_guard<std::mutex> g(close_mu_);
+  for (int c = 0; c < cfg_.clients; ++c) {
+    if (sources_[c].load(std::memory_order_relaxed) == src) {
+      drop_source(c, *src);
+    }
+  }
+}
+
+void KVStore::drop_source(int c, Source& src) {
+  sources_[c].store(nullptr, std::memory_order_relaxed);
+  // Hands the source back: the store touches it no more.
+  src.state_.store(Source::kDetached, std::memory_order_release);
+}
+
+std::size_t KVStore::pull_source(int c, Source& src, WorkerCtx& ctx) {
+  // Quiescent point: no batch of this worker is executing, and every
+  // pulled request still unresolved sits in ctx.parked (in_flight_).
+  if (src.state_.load(std::memory_order_acquire) != Source::kAttached) {
+    if (src.in_flight_ == 0) drop_source(c, src);
+    return 0;
+  }
+  // A closed store takes no new work; close() sweeps what is published.
+  if (closed_.load(std::memory_order_acquire)) return 0;
+  ctx.pulled.resize(cfg_.max_batch);
+  const std::size_t n = src.pull(ctx.pulled.data(), cfg_.max_batch);
+  src.in_flight_ += n;
+  std::size_t admitted = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    Request* r = ctx.pulled[i];
+    if (!admit(r)) continue;
+    ctx.by_shard[static_cast<std::size_t>(shard_of(r->op.key))].push_back(r);
+    ++admitted;
+  }
+  return admitted;
+}
+
 void KVStore::worker_main(int w) {
   WorkerCtx ctx;
   ctx.by_shard.resize(shards_.size());
@@ -333,6 +410,9 @@ void KVStore::worker_main(int w) {
         ctx.by_shard[static_cast<std::size_t>(shard_of(r->op.key))]
             .push_back(r);
         ++pulled;
+      }
+      if (Source* src = sources_[c].load(std::memory_order_acquire)) {
+        pulled += pull_source(c, *src, ctx);
       }
       if (pulled > 0) any = true;
     }
@@ -374,21 +454,39 @@ void KVStore::worker_main(int w) {
   }
 }
 
+void KVStore::reject(Request* req) {
+  req->status = Status::kRejected;
+  rejected_on_close_.fetch_add(1, std::memory_order_relaxed);
+  c_rejected_closed_.add(1);
+  mark_done(req);
+}
+
 void KVStore::reject_queue(SpscQueue<Request*>& q) {
   Request* r = nullptr;
-  while (q.try_pop(&r)) {
-    r->status = Status::kRejected;
-    rejected_on_close_.fetch_add(1, std::memory_order_relaxed);
-    c_rejected_closed_.add(1);
-    mark_done(r);
-  }
+  while (q.try_pop(&r)) reject(r);
 }
 
 void KVStore::sweep_rejected() {
   // Post-join (or never-started-workers) sweep: anything still queued
-  // resolves as kRejected — a submitted request is never lost. Callers
-  // hold close_mu_.
+  // or published in an attached source resolves as kRejected — a
+  // submitted request is never lost. Callers hold close_mu_.
   for (auto& q : queues_) reject_queue(*q);
+  std::vector<Request*> buf(cfg_.max_batch);
+  for (int c = 0; c < cfg_.clients; ++c) {
+    Source* src = sources_[c].load(std::memory_order_acquire);
+    if (src == nullptr) continue;
+    // A source whose detach was requested is not pulled: its attacher
+    // sheds what is left. A pull that comes back short has scanned the
+    // whole source.
+    std::size_t n = buf.size();
+    while (n == buf.size() &&
+           src->state_.load(std::memory_order_acquire) == Source::kAttached) {
+      n = src->pull(buf.data(), buf.size());
+      src->in_flight_ += n;
+      for (std::size_t i = 0; i < n; ++i) reject(buf[i]);
+    }
+    drop_source(c, *src);
+  }
 }
 
 void KVStore::close() {

@@ -4,8 +4,11 @@
 //
 // Request path: a client thread submits Requests into its own bounded
 // SPSC queue (admission control: full queue => Status::kRejected, closed
-// store => Status::kClosed, never blocking). Worker threads drain the
-// queues they own, group the operations by shard, and execute each
+// store => Status::kClosed, malformed op or key => Status::kInvalid,
+// never blocking). A client id may also have a Source attached (the ipc
+// arena of DESIGN.md §12), which its worker pulls from beside the queue.
+// Worker threads drain the queues and sources they own, group the
+// operations by shard, and execute each
 // per-shard group as ONE elided transaction under ONE beginOp/endOp
 // envelope (epoch/batch.hpp), amortizing both the HTM and the epoch
 // registration cost across the batch. Results release to clients
@@ -49,6 +52,7 @@ enum class Status : std::uint8_t {
   kUnsupported,  // e.g. scan on the hash backend
   kClientGone,   // ipc: the submitting client process died before the
                  // response could be delivered (slot reclaimed)
+  kInvalid,      // op kind or key outside what the backend accepts
 };
 
 const char* status_name(Status s);
@@ -58,6 +62,8 @@ struct Result {
   bool applied = false;        // put: newly inserted; remove: removed
   std::uint64_t value = 0;     // get payload
 };
+
+class Source;
 
 /// One in-flight operation. The submitting client owns the storage and
 /// must keep it alive until wait() returns; `state` is the cross-thread
@@ -84,6 +90,9 @@ struct Request {
   /// Epoch of the envelope the op committed in; the op is durable once
   /// persisted_epoch >= complete_epoch + 2. 0 for rejected requests.
   std::uint64_t complete_epoch = 0;
+  /// Completion hook: a request pulled from a Source resolves through
+  /// Source::complete() instead of `state` (nobody wait()s on it).
+  Source* source = nullptr;
   std::atomic<std::uint32_t> state{kFree};
 
   Request() = default;
@@ -96,6 +105,7 @@ struct Request {
         span_id(o.span_id),
         t_origin_ns(o.t_origin_ns),
         complete_epoch(o.complete_epoch),
+        source(o.source),
         state(o.state.load(std::memory_order_relaxed)) {}
   Request& operator=(const Request& o) {
     op = o.op;
@@ -104,6 +114,7 @@ struct Request {
     span_id = o.span_id;
     t_origin_ns = o.t_origin_ns;
     complete_epoch = o.complete_epoch;
+    source = o.source;
     state.store(o.state.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
     return *this;
@@ -132,6 +143,34 @@ struct Request {
 
 enum class ReleasePolicy : std::uint8_t { kBuffered, kDurable };
 
+/// A second request source for one client id, pulled by the worker that
+/// owns the client beside its SPSC queue. The ipc server attaches one
+/// per client arena (DESIGN.md §12), so a worker serves the arena's
+/// slots in place. The attacher keeps the storage; the store touches it
+/// from attach() until detached() reads true.
+class Source {
+ public:
+  virtual ~Source() = default;
+  /// Claim up to `max` ready requests (Request::source == this) into
+  /// `out`. Runs on the owning worker, or in close() after the workers
+  /// joined; never concurrently with complete().
+  virtual std::size_t pull(Request** out, std::size_t max) = 0;
+  /// Deliver a pulled request's verdict (status, op results,
+  /// complete_epoch). Same thread rules as pull().
+  virtual void complete(Request& req) = 0;
+  /// True once the store holds no reference to this source: after a
+  /// requested detach completed, or after close() swept it.
+  bool detached() const {
+    return state_.load(std::memory_order_acquire) == kDetached;
+  }
+
+ private:
+  friend class KVStore;
+  enum : std::uint32_t { kAttached, kDetachRequested, kDetached };
+  std::atomic<std::uint32_t> state_{kDetached};
+  std::size_t in_flight_ = 0;  // pulled, not yet completed (worker-owned)
+};
+
 struct KVStoreConfig {
   Backend backend = Backend::kHash;
   int shards = 1;   // rounded up to a power of two
@@ -157,6 +196,14 @@ class KVStore {
   bool submit(int client, Request* req);
   /// Block until the request resolves.
   void wait(Request* req);
+
+  /// Attach `src` to `client` (at most one source per client). On a
+  /// closed store the source is detached at once.
+  void attach(int client, Source* src);
+  /// Ask the owning worker to drop `src` at a quiescent point of its
+  /// loop: it pulls no more, and lets go once every pulled request has
+  /// completed (kDurable parks included). Poll src->detached().
+  void detach(Source* src);
   static Result result_of(const Request& req);
 
   // Synchronous conveniences: submit + wait (+ admission verdicts).
@@ -212,14 +259,24 @@ class KVStore {
     std::vector<epoch::BatchOp> ops;
     std::vector<Request*> reqs;
     std::vector<Parked> parked;
+    std::vector<Request*> pulled;
   };
 
   void worker_main(int w);
+  /// The one ingress check of both request paths: stamps the request
+  /// and resolves it with a typed verdict (kClosed, kInvalid) when it
+  /// must not execute. Returns true when it may.
+  bool admit(Request* req);
+  /// Pull client c's source into ctx.by_shard; also where the worker
+  /// completes a requested detach. Returns requests admitted.
+  std::size_t pull_source(int c, Source& src, WorkerCtx& ctx);
+  void drop_source(int c, Source& src);
   /// Execute reqs[0..m) against shard s in batched envelopes.
   void execute_shard_batch(int s, WorkerCtx& ctx, std::size_t m);
   void resolve(Request* req);
   static void mark_done(Request* req);
   void release_parked(WorkerCtx& ctx, bool force_advance);
+  void reject(Request* req);  // close-time verdict for a straggler
   void reject_queue(SpscQueue<Request*>& q);
   void sweep_rejected();
 
@@ -228,6 +285,8 @@ class KVStore {
   std::uint64_t shard_mask_;
   std::vector<std::unique_ptr<ShardIndex>> shards_;
   std::vector<std::unique_ptr<SpscQueue<Request*>>> queues_;
+  std::unique_ptr<std::atomic<Source*>[]> sources_;  // one per client
+  std::uint64_t key_max_ = 0;  // largest key every shard accepts
   std::vector<std::thread> workers_;
   std::atomic<bool> closed_{false};
   bool joined_ = false;

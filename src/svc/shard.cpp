@@ -36,6 +36,9 @@ class VebShard final : public ShardIndex {
     return t_.successor(k);
   }
   bool ordered() const override { return true; }
+  std::uint64_t max_key() const override {
+    return (std::uint64_t{1} << t_.ubits()) - 1;
+  }
   void apply_batch(epoch::BatchOp* ops, std::size_t n) override {
     t_.apply_batch(ops, n);
   }
@@ -70,6 +73,7 @@ class SkiplistShard final : public ShardIndex {
     return t_.successor(k);
   }
   bool ordered() const override { return true; }
+  std::uint64_t max_key() const override { return ~std::uint64_t{0}; }
   void apply_batch(epoch::BatchOp* ops, std::size_t n) override {
     t_.apply_batch(ops, n);
   }
@@ -105,6 +109,9 @@ class HashShard final : public ShardIndex {
     return std::nullopt;  // unordered
   }
   bool ordered() const override { return false; }
+  std::uint64_t max_key() const override {
+    return hash::BDSpash::kEmptyKey - 1;
+  }
   void apply_batch(epoch::BatchOp* ops, std::size_t n) override {
     t_.apply_batch(ops, n);
   }

@@ -47,6 +47,10 @@ class ShardIndex {
   virtual std::optional<std::pair<std::uint64_t, std::uint64_t>> successor(
       std::uint64_t key) = 0;
   virtual bool ordered() const = 0;
+  /// Largest key the structure accepts (the store's ingress rejects
+  /// larger ones as Status::kInvalid): PHTM-vEB's universe ends at
+  /// 2^veb_ubits - 1, BD-Spash reserves ~0 as its empty-slot marker.
+  virtual std::uint64_t max_key() const = 0;
 
   virtual void apply_batch(epoch::BatchOp* ops, std::size_t n) = 0;
 

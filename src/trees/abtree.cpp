@@ -386,6 +386,7 @@ bool ElimABTree::insert(std::uint64_t key, std::uint64_t value) {
   slot.key = key;
   slot.value = value;
   slot.state.store(2, std::memory_order_release);  // published
+  if (on_published) on_published();
   for (int spin = 0; spin < kParkSpins; ++spin) {
     if ((spin & 15) == 15) std::this_thread::yield();  // let removers run
     if (slot.state.load(std::memory_order_acquire) == 3) {  // consumed

@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -105,6 +106,10 @@ class ElimABTree : public OCCABTree {
   std::uint64_t eliminated_pairs() const {
     return eliminated_.load(std::memory_order_relaxed);
   }
+
+  /// Test hook: when set, insert() calls it once its hot key is
+  /// published in the elimination slot, before it waits for a remover.
+  std::function<void()> on_published;
 
  private:
   struct ElimSlot {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
@@ -488,6 +489,97 @@ TEST(Svc, CloseIsIdempotentAndConcurrent) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(resolved.load(), 4u * 128u) << "every request resolved";
   store.close();  // sequential repeat stays a no-op
+}
+
+TEST(Svc, IngressAnswersInvalidOpAndKey) {
+  // One ingress check for both request paths (the ipc arena hands over
+  // client-written fields): an op kind outside the three and a key the
+  // backend cannot hold resolve kInvalid without executing.
+  for (svc::Backend b : kAllBackends) {
+    SvcWorld w;
+    svc::KVStore store(*w.es, small_cfg(b));  // veb_ubits = 12
+    svc::Request bad_op = svc::Request::put(3, 4);
+    bad_op.op.kind = static_cast<epoch::BatchOp::Kind>(3);
+    EXPECT_FALSE(store.submit(0, &bad_op));
+    EXPECT_EQ(bad_op.state.load(), svc::Request::kDone);
+    EXPECT_EQ(bad_op.status, svc::Status::kInvalid);
+    const std::uint64_t top = ~std::uint64_t{0};
+    const svc::Status want_top = b == svc::Backend::kSkiplist
+                                     ? svc::Status::kOk
+                                     : svc::Status::kInvalid;
+    EXPECT_EQ(store.put(0, top, 1).status, want_top) << svc::backend_name(b);
+    if (b == svc::Backend::kVebTree) {
+      EXPECT_EQ(store.put(0, 4096, 1).status, svc::Status::kInvalid);
+      EXPECT_EQ(store.get(0, 4096).status, svc::Status::kInvalid);
+      EXPECT_EQ(store.put(0, 4095, 1).status, svc::Status::kOk);
+    }
+    // Nothing invalid reached a shard; valid ops still run.
+    EXPECT_EQ(store.get(0, 3).status, svc::Status::kNotFound);
+    EXPECT_EQ(store.put(0, 7, 70).status, svc::Status::kOk);
+    EXPECT_EQ(store.get(0, 7).value, 70u);
+    store.close();
+  }
+}
+
+/// A Source over an in-memory array: requests become pullable as
+/// `published` advances.
+struct ArraySource final : svc::Source {
+  explicit ArraySource(std::size_t n) : reqs(n) {
+    for (auto& r : reqs) r.source = this;
+  }
+  std::size_t pull(svc::Request** out, std::size_t max) override {
+    std::size_t n = 0;
+    const std::size_t p = published.load(std::memory_order_acquire);
+    while (next < p && n < max) out[n++] = &reqs[next++];
+    return n;
+  }
+  void complete(svc::Request& r) override {
+    EXPECT_EQ(r.source, this);
+    completed.fetch_add(1, std::memory_order_release);
+  }
+  std::vector<svc::Request> reqs;
+  std::atomic<std::size_t> published{0};
+  std::size_t next = 0;
+  std::atomic<std::size_t> completed{0};
+};
+
+TEST(Svc, SourceDetachWaitsForParkedDurableRequests) {
+  // The reclaim handoff: a detach requested while pulled kDurable
+  // requests are parked on the epoch frontier completes only after they
+  // resolved — the attacher may free the source's memory only then.
+  SvcWorld w(/*manual_epochs=*/true);
+  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
+  cfg.release = svc::ReleasePolicy::kDurable;
+  svc::KVStore store(*w.es, cfg);
+  ArraySource src(4);
+  for (std::size_t i = 0; i < src.reqs.size(); ++i) {
+    src.reqs[i].op.kind = epoch::BatchOp::Kind::kPut;
+    src.reqs[i].op.key = i + 1;
+    src.reqs[i].op.value = i + 10;
+  }
+  store.attach(0, &src);
+  EXPECT_FALSE(src.detached());
+  const std::uint64_t b0 = store.batches_total();
+  src.published.store(src.reqs.size(), std::memory_order_release);
+  for (int spin = 0; store.batches_total() == b0; ++spin) {
+    ASSERT_LT(spin, 10'000) << "worker never executed the source's batch";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  store.detach(&src);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(src.detached()) << "detached with durable requests parked";
+  EXPECT_EQ(src.completed.load(), 0u);
+  for (int i = 0; i < 3; ++i) w.es->advance();
+  for (int spin = 0; !src.detached(); ++spin) {
+    ASSERT_LT(spin, 10'000) << "detach never completed";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(src.completed.load(), src.reqs.size());
+  for (const auto& r : src.reqs) {
+    EXPECT_EQ(r.status, svc::Status::kOk);
+    EXPECT_GE(w.es->persisted_epoch(), r.complete_epoch + 2);
+  }
+  store.close();
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // elimination path.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <thread>
@@ -233,12 +235,30 @@ TEST(ElimABTreeTest, EliminationFiresUnderInsertRemovePairs) {
   nvm::Device dev(strict_cfg());
   alloc::PAllocator pa(dev);
   ElimABTree t(dev, pa);
+  // The first insert of the hot key parks in its elimination slot until
+  // the remover has run a remove against it, so at least one pair meets
+  // whatever the scheduler does; the rest of both loops runs free.
+  // Every wait is bounded.
+  std::atomic<bool> published{false}, removed{false};
+  auto wait_for = [](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  t.on_published = [&] {
+    if (!published.exchange(true)) wait_for(removed);
+  };
   // Hammer a single hot key with paired insert/remove from two threads.
   std::thread inserter([&t] {
     for (int i = 0; i < 30000; ++i) t.insert(7, 70);
   });
-  std::thread remover([&t] {
-    for (int i = 0; i < 30000; ++i) t.remove(7);
+  std::thread remover([&] {
+    wait_for(published);
+    t.remove(7);
+    removed.store(true);
+    for (int i = 1; i < 30000; ++i) t.remove(7);
   });
   inserter.join();
   remover.join();

@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
       }
       if (tracing) {
         p.span = cli.span_of(p.slot);
-        // Publish stage: submit() call -> doorbell rung.
+        // Publish stage: submit() call -> slot published.
         spans.complete("req.publish", p.span, p.t0, mono_ns());
       }
       ++issued;

@@ -55,6 +55,22 @@ void BM_HtmTxnReadOnly8Words(benchmark::State& state) {
 }
 BENCHMARK(BM_HtmTxnReadOnly8Words);
 
+// A BD-Spash bucket scan: 16 consecutive key words over 2 lines. The
+// engine tracks reads per line (DESIGN.md §6), so this costs 2 tracked
+// reads plus 14 repeat-line reads, against 8 tracked reads above.
+void BM_HtmTxnReadOnlyBucketScan(benchmark::State& state) {
+  htm::configure(htm::EngineConfig{});
+  alignas(64) static std::uint64_t cells[16] = {};
+  for (auto _ : state) {
+    std::uint64_t sum = 0;
+    htm::run([&](htm::Txn& tx) {
+      for (const std::uint64_t& c : cells) sum += tx.load(&c);
+    });
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_HtmTxnReadOnlyBucketScan);
+
 struct NvmFixture : benchmark::Fixture {
   void SetUp(const benchmark::State&) override {
     if (!dev) {

@@ -375,11 +375,18 @@ class EpochSys {
         }
         ++rep.blocks_live;
         // Normalize: the resurrected/live state must itself be durable,
-        // or a later crash could re-kill a block we handed back.
-        hdr->status = static_cast<std::uint32_t>(alloc::BlockStatus::kAllocated);
-        hdr->delete_epoch = kInvalidEpoch;
-        dev.mark_dirty(hdr, sizeof(*hdr));
-        dev.clwb_nontxn(hdr);
+        // or a later crash could re-kill a block we handed back. The scan
+        // reads the post-crash media image, so a header that already says
+        // kAllocated with no delete epoch is durable as it stands and is
+        // neither rewritten nor flushed.
+        if (hdr->st() != alloc::BlockStatus::kAllocated ||
+            hdr->delete_epoch != kInvalidEpoch) {
+          hdr->status =
+              static_cast<std::uint32_t>(alloc::BlockStatus::kAllocated);
+          hdr->delete_epoch = kInvalidEpoch;
+          dev.mark_dirty(hdr, sizeof(*hdr));
+          dev.clwb_nontxn(hdr);
+        }
         live_fn(payload, hdr->create_epoch);
       } else {
         ++rep.blocks_discarded;

@@ -32,8 +32,8 @@ inline std::atomic<std::uint64_t>& stripe_of(std::uintptr_t word_addr) {
   return g_stripes[splitmix64(line) & (kStripeCount - 1)];
 }
 
-constexpr bool is_locked(std::uint64_t v) { return (v & 1) != 0; }
-constexpr std::uint64_t version_of(std::uint64_t v) { return v >> 1; }
+using detail::is_locked;
+using detail::version_of;
 constexpr std::uint64_t make_version(std::uint64_t ver) { return ver << 1; }
 
 // ---- Abort-cause taxonomy (obs registry) ----
@@ -108,10 +108,23 @@ namespace detail {
 // commit bumps it past rv), so one validation entry per stripe is
 // sound, and it keeps commit-time validation proportional to distinct
 // lines, as on hardware.
-class TxCtx {
+//
+// Two line-grain shortcuts keep a scan over one line (a BD-Spash bucket
+// is 16 key words in 2 lines) from paying per-word tracking costs. Their
+// state is the LineTrack base, which the header exposes so that Txn::load
+// takes the first one inline:
+//   - `last_line`/`last_stripe` remember the line the previous read
+//     recorded. A further read of that line reuses its stripe, which is
+//     already in the read set, and skips the stripe hash and the
+//     read-index probe. It still runs validated_read against rv, so it
+//     aborts exactly where the full path would.
+//   - `written_lines` is a 64-bit summary of the lines in the write set.
+//     A read probes the write index only when its line's bit is set, so
+//     read-mostly transactions skip that hash.
+// Both are reset in tx_begin.
+class TxCtx : public LineTrack {
  public:
   bool active = false;
-  std::uint64_t rv = 0;  // read version (TL2 snapshot)
   std::vector<ReadEntry> read_set;
   std::vector<WriteEntry> write_set;
   Rng rng{0x517eful};
@@ -162,6 +175,8 @@ class TxCtx {
   }
 };
 
+LineTrack& line_track(TxCtx& c) { return c; }
+
 TxCtx& ctx() {
   thread_local TxCtx c;
   if (c.tid < 0) {
@@ -200,6 +215,8 @@ unsigned tx_begin(TxCtx& c) {
   c.rv = g_clock.load(std::memory_order_acquire);
   c.read_set.clear();
   c.write_set.clear();
+  c.last_line = LineTrack::kNoLine;
+  c.written_lines = 0;
   ++c.gen;  // stale every index slot; no table clearing on the hot path
   return 0;
 }
@@ -212,22 +229,19 @@ void tx_cleanup(TxCtx& c) {
 
 std::uint64_t tx_load_word(TxCtx& c, std::uintptr_t word_addr) {
   assert(c.active);
-  if (WriteEntry* w = c.find_write(word_addr)) return w->value;
+  const std::uintptr_t line = word_addr >> 6;
+  if (c.written_lines & LineTrack::line_bit(line)) {
+    if (WriteEntry* w = c.find_write(word_addr)) return w->value;
+  }
 
-  auto& stripe = stripe_of(word_addr);
-  const std::uint64_t v1 = stripe.load(std::memory_order_acquire);
-  if (is_locked(v1) || version_of(v1) > c.rv) {
-    abort_with(c, kAbortConflict | kAbortRetry);
-  }
-  const std::uint64_t val =
-      __atomic_load_n(reinterpret_cast<const std::uint64_t*>(word_addr),
-                      __ATOMIC_ACQUIRE);
-  const std::uint64_t v2 = stripe.load(std::memory_order_acquire);
-  if (v2 != v1) {
-    abort_with(c, kAbortConflict | kAbortRetry);
-  }
+  const bool repeat = line == c.last_line;
+  auto& stripe = repeat ? *c.last_stripe : stripe_of(word_addr);
+  const WordRead r = validated_read(stripe, word_addr, c.rv);
+  if (repeat) return r.value;
+  c.last_line = line;
+  c.last_stripe = &stripe;
   if (c.index_read(&stripe)) {
-    c.read_set.push_back({&stripe, v1});
+    c.read_set.push_back({&stripe, r.version});
     // Distinct-stripe capacity (the Bloom-summarized read set of real
     // parts also counts lines, not accesses). The index bound keeps the
     // open-addressing probe terminating under any configured cap.
@@ -236,7 +250,7 @@ std::uint64_t tx_load_word(TxCtx& c, std::uintptr_t word_addr) {
       abort_with(c, kAbortCapacity);
     }
   }
-  return val;
+  return r.value;
 }
 
 void tx_store_word(TxCtx& c, std::uintptr_t word_addr, std::uint64_t value,
@@ -248,6 +262,7 @@ void tx_store_word(TxCtx& c, std::uintptr_t word_addr, std::uint64_t value,
     return;
   }
   c.write_set.push_back({word_addr, value, dev});
+  c.written_lines |= LineTrack::line_bit(word_addr >> 6);
   c.index_write(word_addr,
                 static_cast<std::uint32_t>(c.write_set.size() - 1));
   // Approximate line-count capacity with entry count; HTM-sized

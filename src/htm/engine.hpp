@@ -190,8 +190,58 @@ struct ReadEntry {
   std::uint64_t version;
 };
 
+// Stripe word encoding (TL2): bit 0 = locked, bits 63..1 = version.
+constexpr bool is_locked(std::uint64_t v) { return (v & 1) != 0; }
+constexpr std::uint64_t version_of(std::uint64_t v) { return v >> 1; }
+
+/// The part of a thread's transaction context that Txn::load reads
+/// inline (line-grain read tracking, DESIGN.md §6): the TL2 snapshot,
+/// the line read last, whose stripe is already in the read set, and a
+/// summary of the lines written so far (bit (addr >> 6) & 63).
+struct LineTrack {
+  static constexpr std::uintptr_t kNoLine = ~std::uintptr_t{0};
+
+  std::uint64_t rv = 0;  // read version (TL2 snapshot)
+  std::uintptr_t last_line = kNoLine;
+  std::atomic<std::uint64_t>* last_stripe = nullptr;
+  std::uint64_t written_lines = 0;
+
+  static std::uint64_t line_bit(std::uintptr_t line) {
+    return std::uint64_t{1} << (line & 63);
+  }
+  /// A further read of the last line read, which this transaction has
+  /// not written: it needs no stripe lookup and no write-set probe.
+  bool repeat_read(std::uintptr_t line) const {
+    return line == last_line && (written_lines & line_bit(line)) == 0;
+  }
+};
+
+struct WordRead {
+  std::uint64_t value;
+  std::uint64_t version;  // stripe word the value was read under
+};
+
+/// The TL2 read of one word under its line's stripe: aborts the
+/// transaction (conflict) if the stripe is locked, newer than `rv`, or
+/// changed while the word was read.
+inline WordRead validated_read(const std::atomic<std::uint64_t>& stripe,
+                               std::uintptr_t word_addr, std::uint64_t rv) {
+  const std::uint64_t v1 = stripe.load(std::memory_order_acquire);
+  if (is_locked(v1) || version_of(v1) > rv) {
+    throw AbortException{kAbortConflict | kAbortRetry};
+  }
+  const std::uint64_t val =
+      __atomic_load_n(reinterpret_cast<const std::uint64_t*>(word_addr),
+                      __ATOMIC_ACQUIRE);
+  if (stripe.load(std::memory_order_acquire) != v1) {
+    throw AbortException{kAbortConflict | kAbortRetry};
+  }
+  return {val, v1};
+}
+
 class TxCtx;
 TxCtx& ctx();
+LineTrack& line_track(TxCtx& c);
 
 std::uint64_t tx_load_word(TxCtx& c, std::uintptr_t word_addr);
 void tx_store_word(TxCtx& c, std::uintptr_t word_addr, std::uint64_t value,
@@ -223,7 +273,11 @@ class Txn {
     static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8);
     const auto a = reinterpret_cast<std::uintptr_t>(addr);
     const std::uintptr_t word = a & ~std::uintptr_t{7};
-    const std::uint64_t w = detail::tx_load_word(*ctx_, word);
+    const std::uint64_t w =
+        lines_->repeat_read(word >> 6)
+            ? detail::validated_read(*lines_->last_stripe, word, lines_->rv)
+                  .value
+            : detail::tx_load_word(*ctx_, word);
     T out;
     std::memcpy(&out, reinterpret_cast<const char*>(&w) + (a - word),
                 sizeof(T));
@@ -248,7 +302,8 @@ class Txn {
     throw detail::AbortException{make_explicit_status(code)};
   }
 
-  explicit Txn(detail::TxCtx& c) : ctx_(&c) {}
+  explicit Txn(detail::TxCtx& c)
+      : ctx_(&c), lines_(&detail::line_track(c)) {}
 
  private:
   template <typename T>
@@ -269,6 +324,7 @@ class Txn {
   }
 
   detail::TxCtx* ctx_;
+  const detail::LineTrack* lines_;
 };
 
 /// Execute `body` as one best-effort hardware transaction.

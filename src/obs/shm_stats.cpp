@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <thread>
 
 #include "common/defs.hpp"
 #include "common/spin.hpp"
@@ -203,20 +204,27 @@ BDHTM_NO_SANITIZE_THREAD
 bool StatsReader::sample(StatsSample& out) const {
   if (hdr_ == nullptr) return false;
 
+  // The retry budget is time, not a try count: a reader that keeps
+  // losing the race against a publisher in a tight loop (or that the OS
+  // deschedules mid-copy) yields and tries again until the deadline; only
+  // a publisher that died mid-write keeps the segment unstable that long.
   std::vector<std::uint8_t> buf;
   std::uint64_t publish_ns = 0;
-  bool consistent = false;
-  for (int attempt = 0; attempt < 1000 && !consistent; ++attempt) {
+  constexpr std::uint64_t kSampleBudgetNs = 200'000'000;
+  const std::uint64_t deadline = now_ns() + kSampleBudgetNs;
+  for (;;) {
     const std::uint32_t s1 = hdr_->seq.load(std::memory_order_acquire);
-    if ((s1 & 1u) != 0) continue;  // publish in flight
     const std::uint32_t n = hdr_->payload_bytes;
-    if (n > hdr_->payload_cap) continue;  // torn header field
-    buf.assign(payload_of(hdr_), payload_of(hdr_) + n);
-    publish_ns = hdr_->publish_ns;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    consistent = hdr_->seq.load(std::memory_order_relaxed) == s1;
+    // Odd seq: publish in flight; n above the cap: torn header field.
+    if ((s1 & 1u) == 0 && n <= hdr_->payload_cap) {
+      buf.assign(payload_of(hdr_), payload_of(hdr_) + n);
+      publish_ns = hdr_->publish_ns;
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (hdr_->seq.load(std::memory_order_relaxed) == s1) break;
+    }
+    if (now_ns() >= deadline) return false;
+    std::this_thread::yield();
   }
-  if (!consistent) return false;
 
   out = StatsSample{};
   out.server_pid = hdr_->server_pid;

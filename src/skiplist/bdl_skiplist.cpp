@@ -21,7 +21,16 @@ BDLSkiplist::BDLSkiplist(epoch::EpochSys& es, int fallback_stripes)
       base_(std::make_unique<Base>(DramOps{mw_})),
       tctx_(std::make_unique<Padded<ThreadCtx>[]>(kMaxThreads)) {}
 
-BDLSkiplist::~BDLSkiplist() = default;
+BDLSkiplist::~BDLSkiplist() { free_towers(); }
+
+void BDLSkiplist::free_towers() {
+  Node* n = base_->head();
+  while (n != nullptr) {
+    Node* next = reinterpret_cast<Node*>(strip(n->next[0]));
+    base_->ops().dealloc(n);
+    n = next;
+  }
+}
 
 KVPair* BDLSkiplist::prep_block(std::uint64_t k, std::uint64_t v) {
   auto& tc = tctx_[thread_id()].value;
@@ -223,6 +232,7 @@ std::optional<std::pair<std::uint64_t, std::uint64_t>> BDLSkiplist::successor(
 }
 
 void BDLSkiplist::reset_index() {
+  free_towers();
   base_ = std::make_unique<Base>(DramOps{mw_});
 }
 

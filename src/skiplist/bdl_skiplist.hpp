@@ -105,6 +105,9 @@ class BDLSkiplist {
 
   epoch::KVPair* prep_block(std::uint64_t k, std::uint64_t v);
   void consume_or_unstamp(bool used);
+  /// Free the DRAM tower nodes still linked at level 0 (quiesced only).
+  /// Unlinked nodes belong to the base's EBR domain, which frees them.
+  void free_towers();
   // Op cores running under an ALREADY-OPEN envelope at `op_epoch`; on
   // OldSeeNew they set *restart and return without touching the
   // envelope (the caller decides between abortOp and EnvelopeRestart).

@@ -175,6 +175,7 @@ TEST(EpochSys, BackgroundAdvancerMakesProgress) {
 
 struct RecoveredSet {
   std::map<void*, std::uint64_t> live;  // payload -> create epoch
+  epoch::RecoveryReport report;
 };
 
 RecoveredSet recover_env(nvm::Device& dev) {
@@ -187,7 +188,7 @@ RecoveredSet recover_env(nvm::Device& dev) {
   cfg.attach = true;
   es = std::make_unique<EpochSys>(*pa, cfg);
   RecoveredSet out;
-  es->recover([&](void* payload, std::uint64_t ce) {
+  out.report = es->recover([&](void* payload, std::uint64_t ce) {
     out.live[payload] = ce;
   });
   return out;
@@ -293,6 +294,54 @@ TEST(EpochRecovery, RecoveryIsIdempotentAcrossSecondCrash) {
   env.dev.simulate_crash();  // crash again right away
   auto rec2 = recover_env(env.dev);
   EXPECT_TRUE(rec2.live.empty());
+}
+
+TEST(EpochRecovery, SecondRecoveryOfQuiescedHeapFlushesNoLiveHeader) {
+  // Live headers that already read kAllocated with no delete epoch are
+  // durable as they stand; recovery rewrites and flushes only headers it
+  // changes. One block is resurrected at the first recovery, and that
+  // rewrite must still be durable across the second crash.
+  constexpr int kBlocks = 64;
+  Env env(tiny());
+  std::vector<void*> blocks;
+  env.es->beginOp();
+  for (int i = 0; i < kBlocks; ++i) {
+    void* p = env.es->pNew(16);
+    const std::uint64_t v = static_cast<std::uint64_t>(i);
+    env.es->pSet(p, &v, sizeof(v));
+    EpochSys::set_epoch_nontx(env.dev, p, env.es->current_epoch());
+    env.es->pTrack(p);
+    blocks.push_back(p);
+  }
+  env.es->endOp();
+  env.es->persist_all();
+  env.es->beginOp();
+  env.es->pRetire(blocks[0]);
+  env.es->endOp();
+  // The deleted header reaches the media (an eviction) before its epoch
+  // is durable, so the first recovery resurrects it.
+  env.dev.persist_nontxn(PAllocator::header_of(blocks[0]),
+                         sizeof(BlockHeader));
+  env.dev.simulate_crash();
+  auto rec1 = recover_env(env.dev);
+  ASSERT_EQ(rec1.live.size(), static_cast<std::size_t>(kBlocks));
+  ASSERT_EQ(rec1.report.blocks_resurrected, 1u);
+
+  env.dev.simulate_crash();  // quiesced: nothing ran since recovery
+  const std::uint64_t clwbs0 = env.dev.stats().clwbs.load();
+  const std::uint64_t media0 = env.dev.stats().media_line_writes.load();
+  auto rec2 = recover_env(env.dev);
+  const std::uint64_t clwbs = env.dev.stats().clwbs.load() - clwbs0;
+  const std::uint64_t media =
+      env.dev.stats().media_line_writes.load() - media0;
+  ASSERT_EQ(rec2.live.size(), static_cast<std::size_t>(kBlocks));
+  EXPECT_EQ(rec2.report.blocks_resurrected, 0u);
+  EXPECT_EQ(PAllocator::header_of(blocks[0])->delete_epoch,
+            alloc::kInvalidEpoch);
+  // What is left is the persistent root's own write-back, independent of
+  // the number of live blocks.
+  EXPECT_LT(clwbs, 4u) << "live headers were flushed again";
+  EXPECT_LT(media, 4u);
 }
 
 // ---- The BDL property, end to end ----

@@ -287,5 +287,62 @@ TEST_F(HtmTest, TwoWordsSameLineConflictLikeHardware) {
   EXPECT_TRUE(st & htm::kAbortConflict);
 }
 
+// ---- Line-grain read tracking ----
+//
+// A transaction remembers the last line it read; a further read of that
+// line reuses its stripe. These pin down that the shortcut keeps every
+// abort condition of the full path and never serves a stale word.
+
+TEST_F(HtmTest, NontxStoreToSameLineBetweenReadsAbortsReader) {
+  struct alignas(64) Line {
+    std::uint64_t a, b;
+  } line{1, 2};
+  bool read_b = false;
+  std::uint64_t seen_b = 0;
+  const unsigned st = htm::run([&](htm::Txn& tx) {
+    (void)tx.load(&line.a);
+    htm::nontx_store(&line.b, std::uint64_t{7});  // "another core" writes b
+    seen_b = tx.load(&line.b);                    // same line as a
+    read_b = true;
+  });
+  EXPECT_EQ(st, htm::kAbortConflict | htm::kAbortRetry);
+  EXPECT_FALSE(read_b) << "same-line read returned " << seen_b
+                       << " after a conflicting store";
+  EXPECT_EQ(htm::collect_stats().aborts_conflict, 1u);
+  EXPECT_EQ(line.b, 7u);
+}
+
+TEST_F(HtmTest, ReadYourOwnWriteOnWrittenLine) {
+  struct alignas(64) Line {
+    std::uint64_t w[8];
+  } line{{10, 11, 12, 13, 14, 15, 16, 17}};
+  std::uint64_t written = 0, neighbour = 0, after = 0;
+  const unsigned st = htm::run([&](htm::Txn& tx) {
+    (void)tx.load(&line.w[0]);  // line now cached for repeat reads
+    tx.store(&line.w[2], std::uint64_t{99});
+    written = tx.load(&line.w[2]);    // the written word: from the redo log
+    neighbour = tx.load(&line.w[3]);  // unwritten word of a written line
+    after = tx.load(&line.w[0]);
+  });
+  EXPECT_EQ(st, htm::kCommitted);
+  EXPECT_EQ(written, 99u);
+  EXPECT_EQ(neighbour, 13u);
+  EXPECT_EQ(after, 10u);
+  EXPECT_EQ(line.w[2], 99u);
+}
+
+TEST_F(HtmTest, LineScanTracksOneReadEntryPerLine) {
+  struct alignas(64) Bucket {
+    std::uint64_t w[16];  // two cache lines
+  } bucket{};
+  std::size_t tracked = 0;
+  const unsigned st = htm::run([&](htm::Txn& tx) {
+    for (auto& w : bucket.w) (void)tx.load(&w);
+    tracked = htm::detail::txn_tracked_access_count();
+  });
+  EXPECT_EQ(st, htm::kCommitted);
+  EXPECT_EQ(tracked, 2u);
+}
+
 }  // namespace
 }  // namespace bdhtm

@@ -651,6 +651,16 @@ TEST(ObsShmStats, ConcurrentSamplesAreNeverTorn) {
       pub.publish(reg.snapshot(), {});
     }
   });
+  // A failed ASSERT returns early: stop and join the writer before the
+  // publisher it writes through goes away.
+  struct JoinWriter {
+    std::atomic<bool>& stop;
+    std::thread& t;
+    ~JoinWriter() {
+      stop.store(true, std::memory_order_relaxed);
+      if (t.joinable()) t.join();
+    }
+  } join_writer{stop, writer};
 
   obs::StatsReader rd;
   ASSERT_TRUE(rd.open(path));
@@ -813,8 +823,17 @@ TEST_F(ObsElideTest, WaitDeadlineCountsAsWaitTimeoutFallback) {
   });
   // The worker times out its total-wait budget, attributes the fallback
   // to wait_timeout (NOT lockwait — deadline beats count in priority),
-  // then blocks acquiring the lock until the holder releases.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // then blocks acquiring the lock until the holder releases. Release
+  // only once the attribution is visible (bounded: a worker that never
+  // times out fails the checks below instead of hanging the suite).
+  auto& wait_timeouts =
+      obs::Registry::global().counter("htm.fallback.wait_timeout");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (wait_timeouts.total() == before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
   lock.release();
   worker.join();
   EXPECT_EQ(x, 5u);

@@ -304,6 +304,17 @@ void EpochSys::pTrack(void* payload) {
       hdr, sizeof(*hdr) + static_cast<std::size_t>(hdr->user_size));
 }
 
+void EpochSys::add_publish_listener(PublishListener* l) {
+  std::lock_guard<std::mutex> g(listeners_mu_);
+  listeners_.push_back(l);
+}
+
+void EpochSys::remove_publish_listener(PublishListener* l) {
+  std::lock_guard<std::mutex> g(listeners_mu_);
+  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), l),
+                   listeners_.end());
+}
+
 void EpochSys::advance() { advance(std::stop_token{}); }
 
 void EpochSys::advance(const std::stop_token& st) {
@@ -417,6 +428,10 @@ void EpochSys::advance_locked(const std::stop_token& st) {
     dev.mark_dirty(root(), sizeof(PersistentRoot));
   }
   global_epoch_.store(e + 1, std::memory_order_seq_cst);
+  {
+    std::lock_guard<std::mutex> g(listeners_mu_);
+    for (PublishListener* l : listeners_) l->on_publish(e + 1);
+  }
 
   // Persistence-lag accounting: publishing persisted = e+1 just made
   // epoch e-1 durable; its age (now - its begin) is one sample of how

@@ -28,7 +28,7 @@
 //   2. flush every write buffered in epoch e-1 and persist the DELETED
 //      headers of blocks retired in e-1;
 //   3. persist the global epoch counter as e+1;
-//   4. publish global epoch e+1;
+//   4. publish global epoch e+1 and tell the publish listeners;
 //   5. reclaim blocks retired in e-1 (their replacements are now durable
 //      and the persisted counter proves it).
 //
@@ -132,6 +132,18 @@ struct RecoveryReport {
   std::uint64_t superblocks_quarantined = 0;  // insane superblock headers
   std::uint64_t checksum_failures = 0;  // header tag/geometry mismatches
   std::uint64_t epoch_violations = 0;   // epoch stamps outside sane bounds
+};
+
+/// Told after every epoch publish (steps 3-4 of a transition), on the
+/// thread that ran the transition. The service layer registers one per
+/// KVStore to wake workers sleeping on a kDurable release frontier.
+class PublishListener {
+ public:
+  virtual ~PublishListener() = default;
+  /// `persisted` is the counter value this transition made durable.
+  /// Runs with the listener list locked: it must be short and must not
+  /// add or remove listeners.
+  virtual void on_publish(std::uint64_t persisted) = 0;
 };
 
 class EpochSys {
@@ -295,6 +307,12 @@ class EpochSys {
   static std::uint64_t recovery_frontier(std::uint64_t persisted) {
     return persisted >= kFirstEpoch + 2 ? persisted - 2 : kFirstEpoch - 1;
   }
+
+  /// Register / unregister a publish listener (several may share one
+  /// EpochSys). Once remove returns, `l` is not running and will not be
+  /// called again, so its owner may be destroyed.
+  void add_publish_listener(PublishListener* l);
+  void remove_publish_listener(PublishListener* l);
 
   /// Test hook: park the background advancer (it stays stop-token
   /// responsive, so shutdown is unaffected) to model a dead or
@@ -525,6 +543,11 @@ class EpochSys {
   std::uint64_t watchdog_timeout_us_ = 0;  // 0 = auto-scale with epoch length
   std::atomic<std::uint64_t> last_transition_ns_{0};
   std::atomic<bool> advancer_stalled_{false};  // test hook
+
+  // ---- Publish listeners (their own lock: registering never waits out a
+  // transition's step 1) ----
+  std::mutex listeners_mu_;
+  std::vector<PublishListener*> listeners_;
 
   std::jthread advancer_;  // last member: joins before the rest dies
 };

@@ -1,6 +1,13 @@
 #include "svc/kvstore.hpp"
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cassert>
+#include <cerrno>
+#include <ctime>
 #include <string>
 
 #include "common/spin.hpp"
@@ -10,6 +17,27 @@ namespace bdhtm::svc {
 
 namespace {
 obs::Registry& reg() { return obs::Registry::global(); }
+
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+                  std::atomic<std::uint32_t>::is_always_lock_free,
+              "futex words must be plain 32-bit words");
+
+/// Sleeps while *word == seen, for at most timeout_ns. True when the
+/// timeout ended the sleep (not a wake, a changed word or a signal).
+bool futex_sleep(std::atomic<std::uint32_t>* word, std::uint32_t seen,
+                 std::uint64_t timeout_ns) {
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(timeout_ns / 1'000'000'000ULL);
+  ts.tv_nsec = static_cast<long>(timeout_ns % 1'000'000'000ULL);
+  return syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(word),
+                 FUTEX_WAIT_PRIVATE, seen, &ts, nullptr, 0) == -1 &&
+         errno == ETIMEDOUT;
+}
+
+void futex_wake_one(std::atomic<std::uint32_t>* word) {
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(word),
+          FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr, 0);
+}
 }  // namespace
 
 const char* status_name(Status s) {
@@ -40,6 +68,8 @@ KVStore::KVStore(epoch::EpochSys& es, const KVStoreConfig& cfg)
       c_restarts_(reg().counter("svc.envelope_restarts")),
       c_shed_(reg().counter("svc.shed")),
       c_rejected_closed_(reg().counter("svc.rejected_on_close")),
+      c_parks_(reg().counter("svc.worker.parks")),
+      c_park_timeouts_(reg().counter("svc.worker.park_timeouts")),
       h_batch_size_(reg().histogram("svc.batch_size")),
       h_latency_ns_(reg().histogram("svc.latency_ns")),
       h_queue_depth_(reg().histogram("svc.queue_depth")),
@@ -71,6 +101,9 @@ KVStore::KVStore(epoch::EpochSys& es, const KVStoreConfig& cfg)
   }
   sources_ = std::make_unique<std::atomic<Source*>[]>(
       static_cast<std::size_t>(cfg_.clients));
+  wakes_ = std::make_unique<WorkerWake[]>(
+      static_cast<std::size_t>(cfg_.workers));
+  es_.add_publish_listener(this);
   if (cfg_.start_workers) {
     for (int w = 0; w < cfg_.workers; ++w) {
       workers_.emplace_back([this, w] { worker_main(w); });
@@ -78,7 +111,10 @@ KVStore::KVStore(epoch::EpochSys& es, const KVStoreConfig& cfg)
   }
 }
 
-KVStore::~KVStore() { close(); }
+KVStore::~KVStore() {
+  close();
+  es_.remove_publish_listener(this);
+}
 
 void KVStore::mark_done(Request* req) {
   if (req->source != nullptr) {
@@ -133,7 +169,12 @@ bool KVStore::submit(int client, Request* req) {
   // closed_ — so a push that raced past the final sweep is caught here
   // and swept by the submitter itself (the workers are gone by then, and
   // close_mu_ serializes against close(), so SPSC consumption holds).
+  // The same fence pairs with the owning worker's sleep announcement:
+  // either it sees this push before sleeping or wake() sees it asleep.
   std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!skip_submit_wake_.load(std::memory_order_relaxed)) {
+    wake(wakes_[static_cast<std::size_t>(client % cfg_.workers)]);
+  }
   if (closed_.load(std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> g(close_mu_);
     if (swept_) reject_queue(q);
@@ -299,48 +340,54 @@ void KVStore::execute_shard_batch(int s, WorkerCtx& ctx, std::size_t m) {
     if (t_ack > origin) h_ack_buffered_.record(t_ack - origin);
   } else {
     for (std::size_t i = 0; i < m; ++i) {
-      ctx.parked.push_back(
-          {ctx.reqs[i]->complete_epoch + 2, t_end, ctx.reqs[i]});
+      const std::uint64_t release_epoch = ctx.reqs[i]->complete_epoch + 2;
+      assert(ctx.parked.empty() ||
+             ctx.parked.back().release_epoch <= release_epoch);
+      ctx.parked.push_back({release_epoch, t_end, ctx.reqs[i]});
     }
   }
 }
 
-void KVStore::release_parked(WorkerCtx& ctx, bool force_advance) {
+std::size_t KVStore::release_parked(WorkerCtx& ctx, bool force_advance) {
+  std::size_t released = 0;
   while (!ctx.parked.empty()) {
+    // A worker's complete_epoch stamps never decrease, so ctx.parked is
+    // in release order: release from the head, stop at the first entry
+    // the persisted epoch does not cover.
     const std::uint64_t p = es_.persisted_epoch();
-    std::size_t kept = 0;
-    bool sampled = false;
-    for (auto& pk : ctx.parked) {
-      if (p >= pk.release_epoch) {
-        if (!sampled) {
-          // One sample per sweep (same cadence policy as the batch
-          // latencies): how long the commit waited on durability, and
-          // the full origin->durable-ack span.
-          sampled = true;
-          const std::uint64_t now = now_ns();
-          if (now > pk.t_exec_ns) {
-            h_lat_epoch_wait_.record(now - pk.t_exec_ns);
-          }
-          const std::uint64_t origin = pk.req->t_origin_ns != 0
-                                           ? pk.req->t_origin_ns
-                                           : pk.req->t_submit_ns;
-          if (now > origin) h_ack_durable_.record(now - origin);
-        }
+    std::size_t n = 0;
+    while (n < ctx.parked.size() && ctx.parked[n].release_epoch <= p) ++n;
+    if (n > 0) {
+      // One sample per sweep (same cadence policy as the batch
+      // latencies): how long the commit waited on durability, and the
+      // full origin->durable-ack span.
+      const Parked& first = ctx.parked[0];
+      const std::uint64_t now = now_ns();
+      if (now > first.t_exec_ns) {
+        h_lat_epoch_wait_.record(now - first.t_exec_ns);
+      }
+      const std::uint64_t origin = first.req->t_origin_ns != 0
+                                       ? first.req->t_origin_ns
+                                       : first.req->t_submit_ns;
+      if (now > origin) h_ack_durable_.record(now - origin);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Parked& pk = ctx.parked[i];
         if (pk.req->span_id != 0) {
           obs::trace_complete(obs::TraceEventType::kReqDurable, pk.t_exec_ns,
                               pk.req->span_id, pk.release_epoch);
         }
         resolve(pk.req);
-      } else {
-        ctx.parked[kept++] = pk;
       }
+      ctx.parked.erase(ctx.parked.begin(),
+                       ctx.parked.begin() + static_cast<std::ptrdiff_t>(n));
+      released += n;
     }
-    ctx.parked.resize(kept);
-    if (ctx.parked.empty() || !force_advance) return;
+    if (ctx.parked.empty() || !force_advance) break;
     // Drain-then-advance: at shutdown nobody else may move the epoch
     // forward, so the worker pushes durability out itself.
     es_.advance();
   }
+  return released;
 }
 
 void KVStore::attach(int client, Source* src) {
@@ -351,6 +398,8 @@ void KVStore::attach(int client, Source* src) {
   }
   src->state_.store(Source::kAttached, std::memory_order_relaxed);
   sources_[client].store(src, std::memory_order_release);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  wake(wakes_[static_cast<std::size_t>(client % cfg_.workers)]);
 }
 
 void KVStore::detach(Source* src) {
@@ -397,8 +446,10 @@ std::size_t KVStore::pull_source(int c, Source& src, WorkerCtx& ctx) {
 void KVStore::worker_main(int w) {
   WorkerCtx ctx;
   ctx.by_shard.resize(shards_.size());
+  std::uint64_t idle_since = 0;  // 0: the last pass did work
   for (;;) {
     bool any = false;
+    bool serves_source = false;
     for (int c = w; c < cfg_.clients; c += cfg_.workers) {
       // Depth sampled at drain time (admission pressure as the worker
       // sees it), keeping the submit hot path free of registry traffic.
@@ -412,6 +463,7 @@ void KVStore::worker_main(int w) {
         ++pulled;
       }
       if (Source* src = sources_[c].load(std::memory_order_acquire)) {
+        serves_source = true;
         pulled += pull_source(c, *src, ctx);
       }
       if (pulled > 0) any = true;
@@ -434,23 +486,107 @@ void KVStore::worker_main(int w) {
         bucket.clear();
       }
     }
-    release_parked(ctx, /*force_advance=*/false);
-    if (!any) {
-      bool drained = closed_.load(std::memory_order_acquire);
-      if (drained) {
-        for (int c = w; c < cfg_.clients; c += cfg_.workers) {
-          if (!queues_[c]->empty()) {
-            drained = false;
-            break;
-          }
+    if (release_parked(ctx, /*force_advance=*/false) > 0) any = true;
+    if (any) {
+      idle_since = 0;
+      continue;
+    }
+    bool drained = closed_.load(std::memory_order_acquire);
+    if (drained) {
+      for (int c = w; c < cfg_.clients; c += cfg_.workers) {
+        if (!queues_[c]->empty()) {
+          drained = false;
+          break;
         }
       }
-      if (drained) {
-        release_parked(ctx, /*force_advance=*/true);
-        break;
-      }
+    }
+    if (drained) {
+      release_parked(ctx, /*force_advance=*/true);
+      break;
+    }
+    // Idle: poll for the budget (released clients usually resubmit
+    // within it), then sleep. A worker serving a source keeps polling.
+    const std::uint64_t now = now_ns();
+    if (idle_since == 0) idle_since = now;
+    if (serves_source || now - idle_since < kIdleSpinNs) {
+      std::this_thread::yield();
+      continue;
+    }
+    sleep_until_woken(w, ctx);
+    idle_since = 0;
+  }
+}
+
+bool KVStore::work_ready(int w, const WorkerCtx& ctx) const {
+  if (closed_.load(std::memory_order_acquire)) return true;
+  for (int c = w; c < cfg_.clients; c += cfg_.workers) {
+    if (!queues_[c]->empty() ||
+        sources_[c].load(std::memory_order_acquire) != nullptr) {
+      return true;
+    }
+  }
+  return !ctx.parked.empty() &&
+         es_.persisted_epoch() >= ctx.parked.front().release_epoch;
+}
+
+void KVStore::sleep_until_woken(int w, const WorkerCtx& ctx) {
+  WorkerWake& wk = wakes_[static_cast<std::size_t>(w)];
+  const std::uint32_t seen = wk.word.load(std::memory_order_acquire);
+  // Dekker pair with every ringer: announce, fence, re-check. A ringer
+  // publishes its work, fences, then reads `sleeping`, so either the
+  // re-check below sees the work or the ringer sees the announcement and
+  // bumps `word` past `seen` before its wake.
+  wk.sleeping.store(
+      ctx.parked.empty() ? kNoRelease : ctx.parked.front().release_epoch,
+      std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (work_ready(w, ctx)) {
+    wk.sleeping.store(kAwake, std::memory_order_relaxed);
+    return;
+  }
+  parks_.fetch_add(1, std::memory_order_relaxed);
+  c_parks_.add(1);
+  const bool expired = futex_sleep(&wk.word, seen, kParkBackstopNs);
+  // A ringer claims the announcement before it wakes the worker. When the
+  // backstop ends a sleep with work waiting, the ring may be on its way:
+  // a publish makes the persisted counter visible before it rings, and
+  // a kDurable wait of two epochs lines the backstop up with that very
+  // publish. Only a claim that does not follow within kRingGraceNs is a
+  // wake that did not come.
+  const bool owed = expired && work_ready(w, ctx);
+  if (owed) {
+    const std::uint64_t until = now_ns() + kRingGraceNs;
+    while (wk.sleeping.load(std::memory_order_relaxed) != kAwake &&
+           now_ns() < until) {
       std::this_thread::yield();
     }
+  }
+  const bool claimed =
+      wk.sleeping.exchange(kAwake, std::memory_order_relaxed) == kAwake;
+  if (owed && !claimed) {
+    park_timeouts_.fetch_add(1, std::memory_order_relaxed);
+    c_park_timeouts_.add(1);
+  }
+}
+
+void KVStore::wake(WorkerWake& wk) {
+  if (wk.sleeping.load(std::memory_order_relaxed) == kAwake ||
+      wk.sleeping.exchange(kAwake, std::memory_order_relaxed) == kAwake) {
+    return;
+  }
+  wk.word.fetch_add(1, std::memory_order_release);
+  futex_wake_one(&wk.word);
+}
+
+void KVStore::on_publish(std::uint64_t persisted) {
+  // Pairs with the sleep announcement: the advancer stored the persisted
+  // counter before this call, so a sleeper whose re-check missed it is
+  // seen here.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (int w = 0; w < cfg_.workers; ++w) {
+    WorkerWake& wk = wakes_[static_cast<std::size_t>(w)];
+    const std::uint64_t want = wk.sleeping.load(std::memory_order_relaxed);
+    if (want != kAwake && persisted >= want) wake(wk);
   }
 }
 
@@ -492,6 +628,9 @@ void KVStore::sweep_rejected() {
 void KVStore::close() {
   closed_.store(true, std::memory_order_seq_cst);
   std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (int w = 0; w < cfg_.workers; ++w) {
+    wake(wakes_[static_cast<std::size_t>(w)]);
+  }
   // Everything after the closed_ publication happens under close_mu_, so
   // a second concurrent close() simply queues behind the first and
   // returns once the drain is complete (idempotent: joined_/swept_ flags

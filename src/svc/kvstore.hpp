@@ -20,6 +20,13 @@
 //               i.e. acknowledgements imply durability (strict-DL
 //               answer-time semantics over the same buffered machinery).
 //
+// Idle workers sleep (DESIGN.md §10, "Idle workers"): after a short
+// polling budget a worker with no work sleeps on its own wake word until
+// a submit() to one of its clients, an epoch publish that releases its
+// oldest parked kDurable request, attach() or close() rings it, or a
+// bounded backstop expires. A worker serving an attached Source keeps
+// polling: a remote client has no way to ring it.
+//
 // Shutdown (close()) drains: workers finish every queued request, parked
 // durable releases are pushed out by advancing the epoch system, workers
 // join, and any straggler left in a queue resolves as kRejected — a
@@ -35,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/defs.hpp"
 #include "common/rng.hpp"
 #include "epoch/batch.hpp"
 #include "epoch/epoch_sys.hpp"
@@ -185,7 +193,7 @@ struct KVStoreConfig {
   ShardOptions shard_opt;
 };
 
-class KVStore {
+class KVStore : private epoch::PublishListener {
  public:
   KVStore(epoch::EpochSys& es, const KVStoreConfig& cfg);
   ~KVStore();
@@ -245,6 +253,27 @@ class KVStore {
   std::uint64_t rejected_on_close_total() const {
     return rejected_on_close_.load();
   }
+  /// Idle sleeps of the workers, and those the backstop ended with work
+  /// waiting: each of the latter is a wake that should have come and did
+  /// not (mirrored as svc.worker.parks / svc.worker.park_timeouts).
+  std::uint64_t parks_total() const { return parks_.load(); }
+  std::uint64_t park_timeouts_total() const { return park_timeouts_.load(); }
+
+  /// Test hook: submit() stops ringing sleeping workers, so a request
+  /// submitted to a sleeping worker waits out the backstop.
+  void skip_submit_wake_for_testing(bool skip) {
+    skip_submit_wake_.store(skip, std::memory_order_relaxed);
+  }
+
+  /// A worker polls this long after its last work before it sleeps.
+  static constexpr std::uint64_t kIdleSpinNs = 50'000;
+  /// Longest sleep: a missed wake costs at most this much latency, never
+  /// a hang (the order of the ipc client's park tick).
+  static constexpr std::uint64_t kParkBackstopNs = 20'000'000;
+  /// How long a backstop that found work waiting gives a racing ring to
+  /// claim the sleep before it counts as missed (a claim follows its
+  /// ringer's publish within a few instructions unless it is preempted).
+  static constexpr std::uint64_t kRingGraceNs = 1'000'000;
 
  private:
   static constexpr std::uint64_t kShardSeed = 0x7f4a7c15ca7b9a1dULL;
@@ -258,11 +287,33 @@ class KVStore {
     std::vector<std::vector<Request*>> by_shard;
     std::vector<epoch::BatchOp> ops;
     std::vector<Request*> reqs;
-    std::vector<Parked> parked;
+    std::vector<Parked> parked;  // in release order (see release_parked)
     std::vector<Request*> pulled;
   };
+  /// One per worker. `sleeping` is the worker's side of a seq_cst Dekker
+  /// pair with its ringers: kAwake, or while it sleeps the persisted
+  /// epoch that releases its oldest parked request (kNoRelease if none).
+  /// A ringer claims it (exchange to kAwake) before it bumps `word`, the
+  /// futex word, and wakes the worker.
+  struct alignas(kCacheLineSize) WorkerWake {
+    std::atomic<std::uint64_t> sleeping{0};
+    std::atomic<std::uint32_t> word{0};
+  };
+  static constexpr std::uint64_t kAwake = 0;
+  static constexpr std::uint64_t kNoRelease = ~std::uint64_t{0};
 
   void worker_main(int w);
+  /// True when worker w has something to do: a queued request, an
+  /// attached source, a releasable parked request, or a closed store.
+  bool work_ready(int w, const WorkerCtx& ctx) const;
+  /// The idle sleep: announce, fence, re-check, futex-wait (bounded).
+  void sleep_until_woken(int w, const WorkerCtx& ctx);
+  /// Wakes the worker if it announced a sleep; the claim makes one of
+  /// several ringers pay the syscall. The caller published its work and
+  /// fenced first.
+  static void wake(WorkerWake& wk);
+  /// Wakes the workers whose oldest parked request `persisted` releases.
+  void on_publish(std::uint64_t persisted) override;
   /// The one ingress check of both request paths: stamps the request
   /// and resolves it with a typed verdict (kClosed, kInvalid) when it
   /// must not execute. Returns true when it may.
@@ -275,7 +326,9 @@ class KVStore {
   void execute_shard_batch(int s, WorkerCtx& ctx, std::size_t m);
   void resolve(Request* req);
   static void mark_done(Request* req);
-  void release_parked(WorkerCtx& ctx, bool force_advance);
+  /// Resolves the parked requests the persisted epoch covers; returns
+  /// how many.
+  std::size_t release_parked(WorkerCtx& ctx, bool force_advance);
   void reject(Request* req);  // close-time verdict for a straggler
   void reject_queue(SpscQueue<Request*>& q);
   void sweep_rejected();
@@ -288,6 +341,8 @@ class KVStore {
   std::unique_ptr<std::atomic<Source*>[]> sources_;  // one per client
   std::uint64_t key_max_ = 0;  // largest key every shard accepts
   std::vector<std::thread> workers_;
+  std::unique_ptr<WorkerWake[]> wakes_;  // one per worker
+  std::atomic<bool> skip_submit_wake_{false};
   std::atomic<bool> closed_{false};
   bool joined_ = false;
   // Cold-path handshake for submits racing close(): a push that lands
@@ -304,12 +359,16 @@ class KVStore {
   std::atomic<std::uint64_t> restarts_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> rejected_on_close_{0};
+  std::atomic<std::uint64_t> parks_{0};
+  std::atomic<std::uint64_t> park_timeouts_{0};
 
   obs::Counter& c_ops_;
   obs::Counter& c_batches_;
   obs::Counter& c_restarts_;
   obs::Counter& c_shed_;
   obs::Counter& c_rejected_closed_;
+  obs::Counter& c_parks_;
+  obs::Counter& c_park_timeouts_;
   obs::Histogram& h_batch_size_;
   obs::Histogram& h_latency_ns_;
   obs::Histogram& h_queue_depth_;

@@ -216,7 +216,7 @@ TEST_F(FallbackPolicyTest, CheckedTrapsOutOfOrderAcquire) {
   EXPECT_EQ(g_violations.load(), 0);
   pol.acquire_stripe(5);  // ascending: fine
   EXPECT_EQ(g_violations.load(), 0);
-  // Deliberate misuse probe: txlint: allow(fallback-stripe-order)
+  // txlint: allow(fallback-stripe-order) -- deliberate misuse probe
   pol.acquire_stripe(1);  // descending while holding {3,5}: trap
   EXPECT_EQ(g_violations.load(), 1);
   pol.release_stripe(1);

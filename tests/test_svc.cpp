@@ -2,9 +2,13 @@
 // shard routing, batch execution against a sequential oracle, the
 // envelope-restart protocol, ordered scans, release policies, and the
 // shutdown contract — a submitted request always resolves (completed or
-// kRejected), it is never lost. The suite runs in the sanitizer lane:
-// the submit/shutdown race test is the TSan target the checklist names.
+// kRejected), it is never lost — and the idle protocol: a worker with
+// nothing to do sleeps, and submit, the epoch publish and attach wake it
+// without waiting out the backstop. The suite runs in the sanitizer
+// lane: the submit/shutdown race test is the TSan target the checklist
+// names.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
@@ -579,6 +583,192 @@ TEST(Svc, SourceDetachWaitsForParkedDurableRequests) {
     EXPECT_EQ(r.status, svc::Status::kOk);
     EXPECT_GE(w.es->persisted_epoch(), r.complete_epoch + 2);
   }
+  store.close();
+}
+
+/// Waits (bounded, without timing assertions) until the store's workers
+/// have gone to sleep more than `after` times in total.
+void await_parks(const svc::KVStore& store, std::uint64_t after) {
+  for (int spin = 0; store.parks_total() <= after; ++spin) {
+    ASSERT_LT(spin, 10'000) << "worker never went to sleep";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(Svc, IdleWorkerSleepsAndSubmitWakesIt) {
+  SvcWorld w;
+  svc::KVStore store(*w.es, small_cfg(svc::Backend::kHash));
+  ASSERT_EQ(store.put(0, 1, 10).status, svc::Status::kOk);
+  const std::uint64_t timeouts0 = store.park_timeouts_total();
+  await_parks(store, store.parks_total());
+  // The worker is asleep (or announcing it); only the ring from
+  // submit() can wake it before the backstop.
+  auto r = store.get(0, 1);
+  EXPECT_EQ(r.status, svc::Status::kOk);
+  EXPECT_EQ(r.value, 10u);
+  EXPECT_EQ(store.park_timeouts_total() - timeouts0, 0u)
+      << "the submit waited out the backstop: its wake was lost";
+  store.close();
+}
+
+TEST(Svc, SkippedSubmitWakeIsCaughtOnlyByTheBackstop) {
+  // Negative control for the test above: with the ring skipped, a
+  // request submitted to a sleeping worker is served only after the
+  // backstop expires, and the expiry is counted.
+  SvcWorld w;
+  svc::KVStore store(*w.es, small_cfg(svc::Backend::kHash));
+  store.skip_submit_wake_for_testing(true);
+  const std::uint64_t timeouts0 = store.park_timeouts_total();
+  // A put that lands in a sleep (one that began after its re-check) is
+  // ended by nothing but the backstop. One that a descheduled test thread
+  // delivers only after that sleep, while the worker polls again, is
+  // served without either; so try a few times.
+  for (int attempt = 0; store.park_timeouts_total() == timeouts0;
+       ++attempt) {
+    ASSERT_LT(attempt, 20)
+        << "served without a wake and without a backstop expiry";
+    await_parks(store, store.parks_total());
+    ASSERT_EQ(store.put(0, 2, 20).status, svc::Status::kOk);
+  }
+  store.skip_submit_wake_for_testing(false);
+  store.close();
+}
+
+/// Submits durable puts to `store`, waits until its worker sleeps on
+/// them, then advances the manual epoch system: only the publish
+/// listener can wake the worker to release them.
+void durable_round_trip(svc::KVStore& store, epoch::EpochSys& es,
+                        std::uint64_t key0) {
+  std::vector<svc::Request> reqs(4);
+  const std::uint64_t b0 = store.batches_total();
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i] = svc::Request::put(key0 + i, i);
+    ASSERT_TRUE(store.submit(0, &reqs[i]));
+  }
+  for (int spin = 0; store.batches_total() == b0; ++spin) {
+    ASSERT_LT(spin, 10'000) << "worker never executed the batch";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The worker executes every queued request before it sleeps again.
+  await_parks(store, store.parks_total());
+  for (const auto& r : reqs) {
+    ASSERT_NE(r.state.load(), svc::Request::kDone)
+        << "released before its epoch persisted";
+  }
+  for (int i = 0; i < 3; ++i) es.advance();
+  for (auto& r : reqs) {
+    store.wait(&r);
+    EXPECT_EQ(r.status, svc::Status::kOk);
+    EXPECT_GE(es.persisted_epoch(), r.complete_epoch + 2);
+  }
+}
+
+TEST(Svc, EpochPublishWakesWorkerParkedOnDurableRelease) {
+  SvcWorld w(/*manual_epochs=*/true);
+  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
+  cfg.release = svc::ReleasePolicy::kDurable;
+  svc::KVStore store(*w.es, cfg);
+  durable_round_trip(store, *w.es, 0);
+  EXPECT_EQ(store.park_timeouts_total(), 0u)
+      << "the publish did not wake the parked worker";
+  store.close();
+}
+
+TEST(Svc, ShortEpochDurableReleaseNeedsNoBackstop) {
+  // The live advancer with 1 ms epochs: every durable ack comes from a
+  // publish wake (or a worker that was still polling), never from the
+  // 20 ms backstop.
+  nvm::DeviceConfig dcfg;
+  dcfg.capacity = 64ull << 20;
+  nvm::Device dev(dcfg);
+  alloc::PAllocator pa(dev);
+  epoch::EpochSys::Config ecfg;
+  ecfg.epoch_length_us = 1000;
+  epoch::EpochSys es(pa, ecfg);
+  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
+  cfg.release = svc::ReleasePolicy::kDurable;
+  svc::KVStore store(es, cfg);
+  const std::uint64_t timeouts0 = store.park_timeouts_total();
+  std::vector<svc::Request> flight(8);
+  for (int round = 0; round < 20; ++round) {
+    for (std::size_t i = 0; i < flight.size(); ++i) {
+      flight[i] = svc::Request::put(round * 8 + i, i);
+      ASSERT_TRUE(store.submit(0, &flight[i]));
+    }
+    for (auto& r : flight) {
+      store.wait(&r);
+      ASSERT_EQ(r.status, svc::Status::kOk);
+      ASSERT_GE(es.persisted_epoch(), r.complete_epoch + 2);
+    }
+  }
+  EXPECT_EQ(store.park_timeouts_total() - timeouts0, 0u);
+  store.close();
+}
+
+TEST(Svc, AttachWakesSleepingWorker) {
+  SvcWorld w;
+  svc::KVStore store(*w.es, small_cfg(svc::Backend::kHash));
+  await_parks(store, store.parks_total());
+  const std::uint64_t timeouts0 = store.park_timeouts_total();
+  ArraySource src(4);
+  for (std::size_t i = 0; i < src.reqs.size(); ++i) {
+    src.reqs[i].op.kind = epoch::BatchOp::Kind::kPut;
+    src.reqs[i].op.key = i + 1;
+    src.reqs[i].op.value = i + 10;
+  }
+  src.published.store(src.reqs.size(), std::memory_order_release);
+  store.attach(0, &src);
+  for (int spin = 0; src.completed.load() < src.reqs.size(); ++spin) {
+    ASSERT_LT(spin, 10'000) << "the attached source was never served";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(store.park_timeouts_total() - timeouts0, 0u)
+      << "attach did not wake the sleeping worker";
+  for (const auto& r : src.reqs) EXPECT_EQ(r.status, svc::Status::kOk);
+  store.detach(&src);
+  for (int spin = 0; !src.detached(); ++spin) {
+    ASSERT_LT(spin, 10'000) << "detach never completed";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  store.close();
+}
+
+TEST(Svc, TwoStoresOnOneEpochSysBothGetPublishWakes) {
+  SvcWorld w(/*manual_epochs=*/true);
+  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
+  cfg.release = svc::ReleasePolicy::kDurable;
+  auto a = std::make_unique<svc::KVStore>(*w.es, cfg);
+  svc::KVStore b(*w.es, cfg);
+  durable_round_trip(*a, *w.es, 0);
+  durable_round_trip(b, *w.es, 100);
+  EXPECT_EQ(a->park_timeouts_total(), 0u);
+  EXPECT_EQ(b.park_timeouts_total(), 0u);
+  // Destroying one store unregisters its listener; the other keeps
+  // getting publish wakes.
+  a.reset();
+  durable_round_trip(b, *w.es, 200);
+  EXPECT_EQ(b.park_timeouts_total(), 0u);
+  b.close();
+}
+
+TEST(Svc, IdleStoreCostsLittleCpu) {
+  // An upper bound on work done, not on timing: an idle store's worker
+  // sleeps, so the whole process uses well under 10% of one CPU while
+  // nothing is submitted (the polling worker it replaces used 100%).
+  SvcWorld w;
+  svc::KVStore store(*w.es, small_cfg(svc::Backend::kHash));
+  ASSERT_EQ(store.put(0, 1, 1).status, svc::Status::kOk);
+  auto cpu_us = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1'000'000LL +
+           ru.ru_utime.tv_usec + ru.ru_stime.tv_usec;
+  };
+  const long long c0 = cpu_us();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const long long used = cpu_us() - c0;
+  EXPECT_LT(used, 30'000) << "idle process used " << used
+                          << " us of CPU in 300 ms";
   store.close();
 }
 

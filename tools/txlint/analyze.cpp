@@ -900,7 +900,7 @@ struct Pass1 {
 FileModel analyze_file(const std::string& path, const std::string& src) {
   FileModel fm;
   fm.path = path;
-  Lexed fx = lex(src);
+  Lexed fx = lex(src, path);
   fm.includes = fx.includes;
   fm.ipc_client_scope = fx.ipc_client_scope;
   fm.allow = fx.allow;

@@ -19,24 +19,28 @@ std::string_view trim(std::string_view s) {
 }
 
 // Parse directives out of a comment's text (text excludes the // or /*).
-void parse_comment(std::string_view body, int line, Lexed* fx) {
+// A directive counts only when it starts the trimmed comment body, so
+// prose that mentions one (in backticks, mid-sentence) is just prose.
+void parse_comment(std::string_view body, int line, const std::string& path,
+                   Lexed* fx) {
   body = trim(body);
   constexpr std::string_view kAllow = "txlint: allow(";
   constexpr std::string_view kExpect = "txlint-expect:";
   constexpr std::string_view kScope = "txlint-scope:";
-  if (auto pos = body.find(kScope); pos != std::string_view::npos) {
-    auto name = trim(body.substr(pos + kScope.size()));
+  auto warn = [&](const char* what, std::string_view name) {
+    std::fprintf(stderr, "txlint: warning: %s:%d: unknown %s '%.*s'\n",
+                 path.c_str(), line, what, static_cast<int>(name.size()),
+                 name.data());
+  };
+  if (body.starts_with(kScope)) {
+    auto name = trim(body.substr(kScope.size()));
     if (name == "ipc-client") {
       fx->ipc_client_scope = true;
     } else {
-      std::fprintf(stderr,
-                   "txlint: warning: line %d: unknown scope '%.*s' in "
-                   "txlint-scope\n",
-                   line, static_cast<int>(name.size()), name.data());
+      warn("scope", name);
     }
-  }
-  if (auto pos = body.find(kAllow); pos != std::string_view::npos) {
-    auto rest = body.substr(pos + kAllow.size());
+  } else if (body.starts_with(kAllow)) {
+    auto rest = body.substr(kAllow.size());
     auto close = rest.find(')');
     if (close != std::string_view::npos) {
       std::string list(rest.substr(0, close));
@@ -50,16 +54,12 @@ void parse_comment(std::string_view body, int line, Lexed* fx) {
         } else if (rule_from_name(name, &r)) {
           fx->allow[line].insert(static_cast<int>(r));
         } else {
-          std::fprintf(stderr,
-                       "txlint: warning: line %d: unknown rule '%.*s' in "
-                       "allow()\n",
-                       line, static_cast<int>(name.size()), name.data());
+          warn("rule in allow()", name);
         }
       }
     }
-  }
-  if (auto pos = body.find(kExpect); pos != std::string_view::npos) {
-    auto name = trim(body.substr(pos + kExpect.size()));
+  } else if (body.starts_with(kExpect)) {
+    auto name = trim(body.substr(kExpect.size()));
     fx->has_expectations = true;
     Rule r;
     if (name == "none") {
@@ -67,10 +67,7 @@ void parse_comment(std::string_view body, int line, Lexed* fx) {
     } else if (rule_from_name(name, &r)) {
       fx->expect.emplace_back(line, r);
     } else {
-      std::fprintf(stderr,
-                   "txlint: warning: line %d: unknown rule '%.*s' in "
-                   "txlint-expect\n",
-                   line, static_cast<int>(name.size()), name.data());
+      warn("rule in txlint-expect", name);
     }
   }
 }
@@ -93,7 +90,7 @@ bool ident_char(char c) {
          (c >= '0' && c <= '9') || c == '_';
 }
 
-Lexed lex(const std::string& src) {
+Lexed lex(const std::string& src, const std::string& path) {
   Lexed fx;
   const size_t n = src.size();
   size_t i = 0;
@@ -178,7 +175,8 @@ Lexed lex(const std::string& src) {
     if (c == '/' && peek(1) == '/') {
       size_t start = i + 2;
       while (i < n && src[i] != '\n') ++i;
-      parse_comment(std::string_view(src).substr(start, i - start), line, &fx);
+      parse_comment(std::string_view(src).substr(start, i - start), line, path,
+                    &fx);
       continue;
     }
     if (c == '/' && peek(1) == '*') {
@@ -190,7 +188,7 @@ Lexed lex(const std::string& src) {
         ++i;
       }
       parse_comment(std::string_view(src).substr(start, i - start), start_line,
-                    &fx);
+                    path, &fx);
       i = std::min(n, i + 2);
       continue;
     }

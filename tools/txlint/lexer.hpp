@@ -41,6 +41,7 @@ struct Lexed {
 
 bool ident_char(char c);
 
-Lexed lex(const std::string& src);
+/// `path` names the file in directive warnings.
+Lexed lex(const std::string& src, const std::string& path);
 
 }  // namespace txlint

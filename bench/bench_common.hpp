@@ -232,6 +232,7 @@ inline void note_htm_stats() {
   a.fallbacks_lockwait += s.fallbacks_lockwait;
   a.fallbacks_exhausted += s.fallbacks_exhausted;
   a.fallbacks_wait_timeout += s.fallbacks_wait_timeout;
+  a.fallbacks_structural += s.fallbacks_structural;
   a.fallback_stripes_acquired += s.fallback_stripes_acquired;
   e.htm_noted = true;
 }
@@ -399,6 +400,8 @@ inline int finish() {
   w.value(h.fallbacks_exhausted);
   w.key("wait_timeout");
   w.value(h.fallbacks_wait_timeout);
+  w.key("structural");
+  w.value(h.fallbacks_structural);
   w.key("stripes_acquired");
   w.value(h.fallback_stripes_acquired);
   w.end_object();

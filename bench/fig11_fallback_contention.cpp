@@ -213,7 +213,7 @@ Cell run_cell(svc::Backend b, int stripes, const workload::Config& cfg,
         mask |= shard->footprint(gen.next());
       }
       {
-        htm::PolicyGuard g(pol, mask);
+        htm::PolicyGuard g(pol, mask, htm::FallbackCause::kStructural);
         const std::uint64_t t_open = now_ns();
         window_open.store(true, std::memory_order_relaxed);
         const std::uint64_t t_end = t_open + hold_ns();
@@ -277,7 +277,7 @@ Cell run_cell(svc::Backend b, int stripes, const workload::Config& cfg,
       for (std::size_t i = 0; i < kBatch; ++i) {
         mask |= shard->footprint(gen.next());
       }
-      htm::PolicyGuard g(pol, mask);
+      htm::PolicyGuard g(pol, mask, htm::FallbackCause::kStructural);
       for (int p = 0; p < kProbes; ++p) {
         const std::uint64_t k = gen.next();
         const htm::StripeMask pm = shard->footprint(k);

@@ -33,14 +33,17 @@ void print_stats_row(const char* panel, int threads) {
   std::printf(
       "%-12s commits %5.1f%%  conflict %5.1f%%  capacity %5.1f%%  "
       "lock-sub %5.1f%%  explicit %5.1f%%  memtype %5.1f%%  "
-      "fallbacks %llu (lockwait %llu, exhausted %llu)\n",
+      "fallbacks %llu (lockwait %llu, exhausted %llu, wait_timeout %llu, "
+      "structural %llu)\n",
       label, 100.0 * s.commits / att, 100.0 * s.aborts_conflict / att,
       100.0 * s.aborts_capacity / att,
       100.0 * s.aborts_lock_subscription / att,
       100.0 * s.aborts_explicit / att, 100.0 * s.aborts_memtype / att,
       static_cast<unsigned long long>(s.fallback_acquisitions),
       static_cast<unsigned long long>(s.fallbacks_lockwait),
-      static_cast<unsigned long long>(s.fallbacks_exhausted));
+      static_cast<unsigned long long>(s.fallbacks_exhausted),
+      static_cast<unsigned long long>(s.fallbacks_wait_timeout),
+      static_cast<unsigned long long>(s.fallbacks_structural));
   bench::record_row(panel, "commit_pct", threads, 100.0 * s.commits / att,
                     "%");
   bench::record_row(panel, "abort_pct", threads,

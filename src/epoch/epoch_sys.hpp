@@ -67,9 +67,9 @@ using alloc::kInvalidEpoch;
 
 /// Abort code used with Txn::abort() when an operation in an old epoch
 /// sees a block stamped by a newer epoch (paper Listing 1 line 23).
-inline constexpr std::uint8_t kOldSeeNewException = 0x51;
+inline constexpr std::uint8_t kOldSeeNewException = htm::kOldSeeNewCode;
 /// Abort code for global-lock subscription failures (Listing 1 line 16).
-inline constexpr std::uint8_t kLockedException = 0x52;
+inline constexpr std::uint8_t kLockedException = htm::kLockSubscriptionCode;
 
 struct EpochStats {
   std::atomic<std::uint64_t> epochs_advanced{0};

@@ -300,7 +300,8 @@ void BDSpash::split(std::uint64_t h) {
   // locate() reads, so they exclude all fast paths and fallbacks by
   // taking every stripe (ascending order — deadlock-free against
   // concurrent ops and other splits).
-  htm::PolicyGuard guard(policy_, policy_.all());
+  htm::PolicyGuard guard(policy_, policy_.all(),
+                         htm::FallbackCause::kStructural);
   const std::uint64_t gd = htm::nontx_load(&global_depth_);
   auto* dir = reinterpret_cast<std::uint64_t*>(htm::nontx_load(&dir_ptr_));
   const std::uint64_t idx = h & ((std::uint64_t{1} << gd) - 1);

@@ -57,6 +57,7 @@ struct HtmCounters {
   obs::Counter& fallbacks_lockwait;
   obs::Counter& fallbacks_exhausted;
   obs::Counter& fallbacks_wait_timeout;
+  obs::Counter& fallbacks_structural;
   // Stripe-level fallback metrics plus the per-policy split of the
   // lock_subscription bucket (htm/fallback.hpp): the bucket above counts
   // both convention codes, these attribute them to the policy that raised
@@ -82,6 +83,7 @@ HtmCounters& cnt() {
       obs::Registry::global().counter("htm.fallback.lock_wait"),
       obs::Registry::global().counter("htm.fallback.retry_exhausted"),
       obs::Registry::global().counter("htm.fallback.wait_timeout"),
+      obs::Registry::global().counter("htm.fallback.structural"),
       obs::Registry::global().counter("htm.fallback.stripes_acquired"),
       obs::Registry::global().counter("htm.abort.lock_subscription.global"),
       obs::Registry::global().counter("htm.abort.lock_subscription.striped"),
@@ -481,6 +483,7 @@ TxStats collect_stats() {
   out.fallbacks_lockwait = m.fallbacks_lockwait.total();
   out.fallbacks_exhausted = m.fallbacks_exhausted.total();
   out.fallbacks_wait_timeout = m.fallbacks_wait_timeout.total();
+  out.fallbacks_structural = m.fallbacks_structural.total();
   out.fallback_stripes_acquired = m.stripes_acquired.total();
   return out;
 }
@@ -500,16 +503,31 @@ void reset_stats() {
   m.fallbacks_lockwait.reset();
   m.fallbacks_exhausted.reset();
   m.fallbacks_wait_timeout.reset();
+  m.fallbacks_structural.reset();
   m.stripes_acquired.reset();
   m.lock_subscription_global.reset();
   m.lock_subscription_striped.reset();
   m.stripe_wait_ns.reset();
 }
 
-void note_fallback() { cnt().fallbacks.add(); }
-void note_fallback_lockwait() { cnt().fallbacks_lockwait.add(); }
-void note_fallback_exhausted() { cnt().fallbacks_exhausted.add(); }
-void note_fallback_wait_timeout() { cnt().fallbacks_wait_timeout.add(); }
+void note_fallback(FallbackCause cause) {
+  HtmCounters& m = cnt();
+  m.fallbacks.add();
+  switch (cause) {
+    case FallbackCause::kLockWait:
+      m.fallbacks_lockwait.add();
+      break;
+    case FallbackCause::kRetryExhausted:
+      m.fallbacks_exhausted.add();
+      break;
+    case FallbackCause::kWaitTimeout:
+      m.fallbacks_wait_timeout.add();
+      break;
+    case FallbackCause::kStructural:
+      m.fallbacks_structural.add();
+      break;
+  }
+}
 
 void note_fallback_stripes(int n, std::uint64_t wait_ns) {
   HtmCounters& m = cnt();

@@ -68,12 +68,12 @@ constexpr std::uint8_t explicit_code(unsigned status) {
 
 // Well-known explicit-abort codes, split out of the generic "explicit"
 // bucket by the abort-cause taxonomy (obs registry + TxStats): lock
-// subscription found the elided lock held (retry.hpp / epoch_sys.hpp
-// kLockedException), and an old-epoch operation saw a newer-epoch block
-// (epoch_sys.hpp kOldSeeNewException). Both are convention codes — the
-// engine treats them like any _xabort(imm8), the taxonomy just names
-// them because the paper's evaluation (Fig. 2) hinges on telling
-// contention from algorithmic restarts.
+// subscription found the elided lock held (htm/fallback.hpp), and an
+// old-epoch operation saw a newer-epoch block. epoch_sys.hpp's
+// kLockedException and kOldSeeNewException are aliases of these. Both
+// are convention codes — the engine treats them like any _xabort(imm8),
+// the taxonomy just names them because the paper's evaluation (Fig. 2)
+// hinges on telling contention from algorithmic restarts.
 inline constexpr std::uint8_t kLockSubscriptionCode = 0x52;
 inline constexpr std::uint8_t kOldSeeNewCode = 0x51;
 /// Lock-subscription abort raised by the STRIPED fallback policy
@@ -116,18 +116,21 @@ struct TxStats {
   std::uint64_t aborts_persist = 0;
   std::uint64_t aborts_memtype = 0;
   std::uint64_t aborts_spurious = 0;
+  /// Fallback acquisitions (htm.fallback.total). Every acquisition names
+  /// exactly one cause, so the four counters below add up to this one:
+  ///   - lockwait: elide() kept finding the lock held (contention);
+  ///   - exhausted: elide() ran out of its retry budget on conflict,
+  ///     capacity or spurious aborts;
+  ///   - wait_timeout: elide()'s total-wait deadline
+  ///     (ElideOptions::max_wait_us) expired behind a fallback holder,
+  ///     e.g. one descheduled mid-critical-section;
+  ///   - structural: a deliberate acquisition outside elide(), such as a
+  ///     BD-Spash directory split taking every stripe.
   std::uint64_t fallback_acquisitions = 0;
-  /// elide() fallbacks split by cause: the transaction kept finding the
-  /// lock held (contention) vs. it exhausted its retry budget on
-  /// conflict/capacity/spurious aborts. note_fallback() alone cannot
-  /// tell these apart — only the retry loop knows why it gave up.
   std::uint64_t fallbacks_lockwait = 0;
   std::uint64_t fallbacks_exhausted = 0;
-  /// Fallbacks forced by ElideOptions::max_wait_us: the total time spent
-  /// waiting for fallback holders crossed the deadline (e.g. a holder
-  /// descheduled by the OS mid-critical-section). Distinct from
-  /// fallbacks_lockwait, which counts the per-wait count bound.
   std::uint64_t fallbacks_wait_timeout = 0;
+  std::uint64_t fallbacks_structural = 0;
   /// Stripe locks taken across all fallback acquisitions (==
   /// fallback_acquisitions under the global policy, whose footprint is
   /// always the single lock word; larger under striped policies).
@@ -148,15 +151,17 @@ const EngineConfig& config();
 /// Aggregate per-thread statistics.
 TxStats collect_stats();
 void reset_stats();
-/// Count a global-lock fallback acquisition (called by ElidedLock users).
-void note_fallback();
-/// Attribute the fallback elide() is about to take to its cause: the
-/// lock-wait bound was hit (contention) vs. the retry budget ran out.
-void note_fallback_lockwait();
-void note_fallback_exhausted();
-/// The elide() total-wait deadline (ElideOptions::max_wait_us) expired
-/// while waiting on fallback holders (htm.fallback.wait_timeout).
-void note_fallback_wait_timeout();
+/// Why a fallback acquisition was taken (TxStats documents each cause).
+enum class FallbackCause {
+  kLockWait,
+  kRetryExhausted,
+  kWaitTimeout,
+  kStructural,
+};
+
+/// Count one fallback acquisition: htm.fallback.total plus the counter
+/// of its one cause, so the causes always add up to the total.
+void note_fallback(FallbackCause cause);
 /// Stripe-level fallback accounting (htm/fallback.hpp): `n` stripe locks
 /// acquired in one fallback acquisition that took `wait_ns` to complete
 /// (htm.fallback.stripes_acquired / htm.fallback.stripe_wait_ns).
@@ -381,10 +386,13 @@ void nontx_store(T* addr, T value) {
   detail::nontx_store_word(word, w);
 }
 
-/// Global-lock elision helper: the standard best-effort HTM fallback.
-/// Transactions subscribe to the lock word (transactional read) and abort
-/// if it is held; the fallback path acquires it non-transactionally, which
-/// conflicts with — and aborts — all subscribed transactions.
+/// One elided lock word: the per-stripe lock inside FallbackPolicy
+/// (htm/fallback.hpp), which is what elide() and structures use.
+/// Transactions subscribe to the word (transactional read) and abort if
+/// it is held; the fallback path acquires it non-transactionally, which
+/// conflicts with — and aborts — every subscribed transaction. The bare
+/// subscribe/wait_until_free also spell out paper Listing 1
+/// (examples/listing1_hashtable.cpp).
 class ElidedLock {
  public:
   /// Transactional subscription; aborts with `code` if the lock is held.
@@ -394,10 +402,9 @@ class ElidedLock {
 
   bool locked() const { return nontx_load(&word_) != 0; }
 
-  /// Spin until the lock is free (paper Listing 1 line 43).
-  /// Spin until the fallback holder releases, with bounded exponential
-  /// backoff: a convoy of waiters hammering the lock word only delays
-  /// the holder (whose stores contend the same line).
+  /// Spin until the lock is free (paper Listing 1 line 43), with bounded
+  /// exponential backoff: a convoy of waiters hammering the lock word
+  /// only delays the holder (whose stores contend the same line).
   void wait_until_free() const {
     Backoff backoff;
     while (locked()) {
@@ -419,15 +426,9 @@ class ElidedLock {
     return true;
   }
 
+  /// Bare acquisition. Counts nothing: FallbackPolicy::acquire takes one
+  /// of these per stripe and counts the fallback once, with its cause.
   void acquire() {
-    acquire_raw();
-    note_fallback();
-  }
-
-  /// Bare acquisition without the fallback-acquisition count: a striped
-  /// FallbackPolicy (htm/fallback.hpp) takes several of these per logical
-  /// fallback and counts the acquisition once itself.
-  void acquire_raw() {
     // Taking the fallback lock inside a transaction is the classic
     // lock-elision deadlock: the acquisition conflicts with every
     // subscribed transaction — including this one. Transactions
@@ -454,19 +455,6 @@ class ElidedLock {
   // Accessed only through the stripe-table helpers so that fallback
   // acquisition conflicts with subscribed transactions.
   alignas(8) std::uint64_t word_{0};
-};
-
-/// RAII fallback-path guard (Core Guidelines CP.20: never bare
-/// lock()/unlock()).
-class FallbackGuard {
- public:
-  explicit FallbackGuard(ElidedLock& l) : lock_(l) { lock_.acquire(); }
-  ~FallbackGuard() { lock_.release(); }
-  FallbackGuard(const FallbackGuard&) = delete;
-  FallbackGuard& operator=(const FallbackGuard&) = delete;
-
- private:
-  ElidedLock& lock_;
 };
 
 }  // namespace bdhtm::htm

@@ -59,13 +59,15 @@ bool FallbackPolicy::wait_until_free(StripeMask mask,
   return true;
 }
 
-void FallbackPolicy::acquire(StripeMask mask) {
+void FallbackPolicy::acquire(StripeMask mask, FallbackCause cause) {
   assert(mask != 0 && (mask & ~all()) == 0);
+  // Counted before blocking on the stripes, so a holder can see that a
+  // waiter has given up (and why) while it still holds them.
+  note_fallback(cause);
   const std::uint64_t t0 = now_ns();
   for (StripeMask m = mask; m != 0; m &= m - 1) {
     acquire_stripe(std::countr_zero(m));
   }
-  note_fallback();
   note_fallback_stripes(std::popcount(mask), now_ns() - t0);
 }
 
@@ -85,7 +87,7 @@ void FallbackPolicy::acquire_stripe(int idx) {
     checked::violation(checked::Rule::kFallbackStripeOrder,
                        "htm::FallbackPolicy::acquire_stripe");
   }
-  slots_[idx].lock.acquire_raw();
+  slots_[idx].lock.acquire();
   held |= StripeMask{1} << idx;
 }
 

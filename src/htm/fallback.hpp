@@ -1,10 +1,11 @@
-// Pluggable fallback policies for lock elision (DESIGN.md §11).
+// Fallback policies for lock elision (DESIGN.md §11).
 //
-// The paper's §2.2 fallback is one global ElidedLock per structure: every
-// fast path subscribes to the single lock word, so one retry-exhausted
-// transaction's fallback aborts ALL concurrent transactions and
-// serializes the shard. A FallbackPolicy generalizes the protocol to an
-// array of elided lock words ("stripes"):
+// The paper's §2.2 fallback is one global elided lock per structure:
+// every fast path subscribes to the single lock word, so one
+// retry-exhausted transaction's fallback aborts ALL concurrent
+// transactions and serializes the shard. A FallbackPolicy is an array of
+// elided lock words ("stripes"), and elide() (htm/retry.hpp) is the one
+// retry loop over it:
 //
 //   - the fast path transactionally subscribes only to the stripes
 //     covering its footprint (one bit per stripe in a StripeMask), and
@@ -14,10 +15,10 @@
 //     construction, the same argument as the engine's commit-time
 //     address-ordered stripe locking).
 //
-// A policy with a single stripe IS the classic global protocol: every
-// footprint maps to the one lock word, subscribe/acquire degenerate to
-// ElidedLock::subscribe/acquire, and the counters match bit for bit.
-// That makes stripes=1 the safe default and the striped policies a pure
+// A policy with a single stripe IS the paper's global lock: every
+// footprint maps to the one lock word and subscriptions abort with the
+// paper's code (kLockSubscriptionCode). Structures that follow the paper
+// (Spash, HTM-vEB) hold FallbackPolicy(1); the striped policies are an
 // opt-in (svc::ShardOptions::fallback_stripes).
 //
 // Footprint rules are the structure's obligation (see DESIGN.md §11 for
@@ -101,11 +102,12 @@ class FallbackPolicy {
   bool wait_until_free(StripeMask mask, std::uint64_t deadline_ns) const;
 
   /// Fallback acquisition of every stripe in `mask` in canonical
-  /// ascending order. Counts ONE fallback acquisition
-  /// (htm.fallback.total) regardless of |mask| — parity with
-  /// ElidedLock::acquire — plus htm.fallback.stripes_acquired and the
-  /// htm.fallback.stripe_wait_ns histogram.
-  void acquire(StripeMask mask);
+  /// ascending order. Counts ONE fallback acquisition regardless of
+  /// |mask|: htm.fallback.total plus the counter of `cause` (elide()
+  /// passes the cause it computed; deliberate holders pass kStructural),
+  /// and htm.fallback.stripes_acquired and the htm.fallback.stripe_wait_ns
+  /// histogram.
+  void acquire(StripeMask mask, FallbackCause cause);
   void release(StripeMask mask);
 
   /// Single-stripe entry points (acquire()/release() are loops over
@@ -136,12 +138,13 @@ class FallbackPolicy {
   std::unique_ptr<Padded<StripeMask>[]> held_;
 };
 
-/// RAII fallback guard over a stripe footprint (the FallbackGuard of the
-/// policy world; Core Guidelines CP.20).
+/// RAII fallback guard over a stripe footprint (Core Guidelines CP.20:
+/// never bare lock()/unlock()).
 class PolicyGuard {
  public:
-  PolicyGuard(FallbackPolicy& p, StripeMask mask) : p_(p), mask_(mask) {
-    p_.acquire(mask_);
+  PolicyGuard(FallbackPolicy& p, StripeMask mask, FallbackCause cause)
+      : p_(p), mask_(mask) {
+    p_.acquire(mask_, cause);
   }
   ~PolicyGuard() { p_.release(mask_); }
   PolicyGuard(const PolicyGuard&) = delete;

@@ -1,8 +1,10 @@
-// Standard best-effort HTM retry loop with global-lock fallback
-// (paper §2.2): attempt the operation as a transaction subscribed to the
-// elided lock; on persistent aborts, acquire the lock and run the same
-// body non-transactionally. Bodies are templates over the access mode
-// (htm/access.hpp).
+// The best-effort HTM retry loop with lock fallback (paper §2.2):
+// attempt the operation as a transaction subscribed to the fallback
+// policy's stripes; wait while a fallback holder runs; on persistent
+// aborts, acquire the stripes and run the same body non-transactionally.
+// Bodies are templates over the access mode (htm/access.hpp). The
+// library's structures and HTM-MwCAS all go through the one elide()
+// below; the paper's global lock is FallbackPolicy(1) with mask all().
 #pragma once
 
 #include <algorithm>
@@ -17,8 +19,6 @@
 #include "htm/fallback.hpp"
 
 namespace bdhtm::htm {
-
-inline constexpr std::uint8_t kLockedCode = 0x52;
 
 struct ElideOptions {
   int max_retries = 16;
@@ -61,13 +61,18 @@ inline std::uint32_t retry_jitter(std::uint32_t bound) {
 }
 }  // namespace detail
 
-/// Run `body(acc) -> R` atomically. The body may be re-executed; all its
-/// side effects must go through the accessor (rolled back on abort) or be
-/// reset at the top of the body. The body must not throw anything except
-/// via acc.fail() on the fallback path (FallbackRestart propagates to the
-/// caller, who owns algorithmic restarts).
+/// Run `body(acc) -> R` atomically. The transaction subscribes only to
+/// the stripes in `mask`, and the fallback acquires exactly those stripes
+/// in canonical order; the mask must cover the body's full footprint per
+/// the owning structure's rules (DESIGN.md §11). The body may be
+/// re-executed; all its side effects must go through the accessor
+/// (rolled back on abort) or be reset at the top of the body. The body
+/// must not throw anything except via acc.fail() on the fallback path
+/// (FallbackRestart propagates to the caller, who owns algorithmic
+/// restarts).
 template <typename R, typename Body>
-R elide(ElidedLock& lock, Body&& body, const ElideOptions& opts = {}) {
+R elide(FallbackPolicy& policy, StripeMask mask, Body&& body,
+        const ElideOptions& opts = {}) {
   std::uint32_t delay_ns = opts.backoff_min_ns;
   int lock_waits = 0;
   bool last_abort_was_lock = false;
@@ -76,12 +81,13 @@ R elide(ElidedLock& lock, Body&& body, const ElideOptions& opts = {}) {
   for (int attempt = 0; attempt < opts.max_retries;) {
     R result{};
     const unsigned st = run([&](Txn& tx) {
-      lock.subscribe(tx, kLockedCode);
+      policy.subscribe(tx, mask);
       TxAccess acc{tx};
       result = body(acc);
     });
     if (st == kCommitted) return result;
-    if ((st & kAbortExplicit) && explicit_code(st) == kLockedCode) {
+    if ((st & kAbortExplicit) &&
+        is_lock_subscription_code(explicit_code(st))) {
       // Lock-wait, not a failed attempt: no progress was possible while
       // a fallback held the lock, so charging these against max_retries
       // livelocks straight into the very serialization elision exists to
@@ -91,14 +97,14 @@ R elide(ElidedLock& lock, Body&& body, const ElideOptions& opts = {}) {
       last_abort_was_lock = true;
       if (++lock_waits >= opts.max_lock_waits) break;
       if (opts.max_wait_us == 0) {
-        lock.wait_until_free();
+        policy.wait_until_free(mask);
       } else {
         // The deadline is TOTAL across every wait in this call: arming
         // it once keeps a stream of short holds from resetting it.
         if (wait_deadline_ns == 0) {
           wait_deadline_ns = now_ns() + opts.max_wait_us * 1000;
         }
-        if (!lock.wait_until_free(wait_deadline_ns)) {
+        if (!policy.wait_until_free(mask, wait_deadline_ns)) {
           wait_timed_out = true;
           break;
         }
@@ -130,89 +136,16 @@ R elide(ElidedLock& lock, Body&& body, const ElideOptions& opts = {}) {
       delay_ns = std::min(delay_ns * 2, opts.backoff_max_ns);
     }
   }
-  // Attribute the fallback to its cause before taking the lock: a final
-  // lock-subscription abort means contention drove us here, even if the
-  // retry budget happened to run out on the same pass — only the cause
-  // of the LAST abort says why progress ultimately stalled. A timed-out
-  // wait is its own cause: the holder stalled, not mere contention.
-  if (wait_timed_out) {
-    note_fallback_wait_timeout();
-  } else if (last_abort_was_lock) {
-    note_fallback_lockwait();
-  } else {
-    note_fallback_exhausted();
-  }
-  FallbackGuard guard(lock);
-  NontxAccess acc;
-  return body(acc);
-}
-
-/// Policy-aware elision (DESIGN.md §11): identical protocol to the
-/// ElidedLock overload, but the transaction subscribes only to the
-/// stripes in `mask` and the fallback acquires exactly those stripes in
-/// canonical order. With a 1-stripe (global) policy and mask=all() this
-/// is behaviourally identical to elide(ElidedLock&, ...). The mask must
-/// cover the body's full footprint per the owning structure's rules.
-template <typename R, typename Body>
-R elide(FallbackPolicy& policy, StripeMask mask, Body&& body,
-        const ElideOptions& opts = {}) {
-  std::uint32_t delay_ns = opts.backoff_min_ns;
-  int lock_waits = 0;
-  bool last_abort_was_lock = false;
-  bool wait_timed_out = false;
-  std::uint64_t wait_deadline_ns = 0;
-  for (int attempt = 0; attempt < opts.max_retries;) {
-    R result{};
-    const unsigned st = run([&](Txn& tx) {
-      policy.subscribe(tx, mask);
-      TxAccess acc{tx};
-      result = body(acc);
-    });
-    if (st == kCommitted) return result;
-    if ((st & kAbortExplicit) &&
-        is_lock_subscription_code(explicit_code(st))) {
-      last_abort_was_lock = true;
-      if (++lock_waits >= opts.max_lock_waits) break;
-      if (opts.max_wait_us == 0) {
-        policy.wait_until_free(mask);
-      } else {
-        if (wait_deadline_ns == 0) {
-          wait_deadline_ns = now_ns() + opts.max_wait_us * 1000;
-        }
-        if (!policy.wait_until_free(mask, wait_deadline_ns)) {
-          wait_timed_out = true;
-          break;
-        }
-      }
-      continue;
-    }
-    last_abort_was_lock = false;
-    lock_waits = 0;
-    if (st & kAbortExplicit) {
-      throw FallbackRestart{explicit_code(st)};
-    }
-    ++attempt;
-    if (st & kAbortMemtype) {
-      if (opts.prewalk != nullptr) opts.prewalk(opts.prewalk_ctx);
-      prewalk_hint();
-      continue;
-    }
-    // Capacity aborts retry without backoff (see the ElidedLock
-    // overload: backoff cannot shrink a write set).
-    if ((st & kAbortCapacity) == 0 && delay_ns > 0) {
-      spin_for_ns(delay_ns / 2 + detail::retry_jitter(delay_ns));
-      delay_ns = std::min(delay_ns * 2, opts.backoff_max_ns);
-    }
-  }
-  // Attribute by last-abort cause (see the ElidedLock overload).
-  if (wait_timed_out) {
-    note_fallback_wait_timeout();
-  } else if (last_abort_was_lock) {
-    note_fallback_lockwait();
-  } else {
-    note_fallback_exhausted();
-  }
-  PolicyGuard guard(policy, mask);
+  // Attribute the fallback to its cause: a final lock-subscription abort
+  // means contention drove us here, even if the retry budget happened to
+  // run out on the same pass — only the cause of the LAST abort says why
+  // progress ultimately stalled. A timed-out wait is its own cause: the
+  // holder stalled, not mere contention.
+  const FallbackCause cause = wait_timed_out ? FallbackCause::kWaitTimeout
+                              : last_abort_was_lock
+                                  ? FallbackCause::kLockWait
+                                  : FallbackCause::kRetryExhausted;
+  PolicyGuard guard(policy, mask, cause);
   NontxAccess acc;
   return body(acc);
 }

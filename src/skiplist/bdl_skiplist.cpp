@@ -17,7 +17,7 @@ std::uint64_t block_epoch(const KVPair* kv) {
 BDLSkiplist::BDLSkiplist(epoch::EpochSys& es, int fallback_stripes)
     : es_(es),
       dev_(es.device()),
-      mw_(/*max_retries=*/16, fallback_stripes),
+      mw_(fallback_stripes),
       base_(std::make_unique<Base>(DramOps{mw_})),
       tctx_(std::make_unique<Padded<ThreadCtx>[]>(kMaxThreads)) {}
 

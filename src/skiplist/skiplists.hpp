@@ -88,6 +88,19 @@ class SkiplistMap {
 class TSkiplist : public SkiplistMap<MwcasDramOps> {
  public:
   TSkiplist() : SkiplistMap(MwcasDramOps{}) {}
+  TSkiplist(const TSkiplist&) = delete;
+  TSkiplist& operator=(const TSkiplist&) = delete;
+
+  /// Frees the DRAM nodes still linked at level 0. A marked node was
+  /// retired by its remover, so the EBR domain frees it instead.
+  ~TSkiplist() {
+    Node* n = base().head();
+    while (n != nullptr) {
+      const std::uint64_t w = n->next[0].load(std::memory_order_relaxed);
+      if (!is_marked(w)) base().ops().dealloc(n);
+      n = reinterpret_cast<Node*>(strip(w));
+    }
+  }
 };
 
 /// P-Skiplist-no-flush (NVM nodes + MwCAS, no persists).

@@ -1,13 +1,9 @@
 #include "sync/htm_mwcas.hpp"
 
 #include "common/rng.hpp"
+#include "htm/retry.hpp"
 
 namespace bdhtm::sync {
-
-namespace {
-constexpr std::uint8_t kMismatch = 0x4d;  // explicit abort: expected differs
-constexpr int kMaxLockWaits = 64;
-}  // namespace
 
 HTMMwCAS::Result HTMMwCAS::execute(Word* words, int n) {
   // Footprint: the union of the target words' stripes (one stripe under
@@ -18,52 +14,19 @@ HTMMwCAS::Result HTMMwCAS::execute(Word* words, int n) {
     mask |= policy_.mask_of_hash(
         splitmix64(reinterpret_cast<std::uintptr_t>(words[i].addr)));
   }
-
-  int lock_waits = 0;
-  bool last_abort_was_lock = false;
-  for (int attempt = 0; attempt < max_retries_;) {
-    const unsigned st = htm::run([&](htm::Txn& tx) {
-      policy_.subscribe(tx, mask);
-      for (int i = 0; i < n; ++i) {
-        if (tx.load(words[i].addr) != words[i].expected) tx.abort(kMismatch);
-      }
-      for (int i = 0; i < n; ++i) tx.store(words[i].addr, words[i].desired);
-    });
-    if (st == htm::kCommitted) return {true, false};
-    if ((st & htm::kAbortExplicit) && htm::explicit_code(st) == kMismatch) {
-      return {false, false};  // genuine CAS failure, not contention
-    }
-    if ((st & htm::kAbortExplicit) &&
-        htm::is_lock_subscription_code(htm::explicit_code(st))) {
-      // Lock-wait: no progress was possible, so don't charge the retry
-      // budget (see htm::elide) — bounded separately to stay live.
-      last_abort_was_lock = true;
-      if (++lock_waits >= kMaxLockWaits) break;
-      policy_.wait_until_free(mask);
-      continue;
-    }
-    last_abort_was_lock = false;
-    lock_waits = 0;
-    ++attempt;
-    // conflict/capacity/spurious: retry, eventually take the fallback
-  }
-  // Attribute the fallback by last-abort cause, then acquire exactly the
-  // footprint's stripes; acquisition aborts all subscribed transactions.
-  if (last_abort_was_lock) {
-    htm::note_fallback_lockwait();
-  } else {
-    htm::note_fallback_exhausted();
-  }
-  htm::PolicyGuard guard(policy_, mask);
-  for (int i = 0; i < n; ++i) {
-    if (htm::nontx_load(words[i].addr) != words[i].expected) {
-      return {false, true};
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    htm::nontx_store(words[i].addr, words[i].desired);
-  }
-  return {true, true};
+  bool used_fallback = false;
+  const bool success =
+      htm::elide<bool>(policy_, mask, [&](auto& acc) -> bool {
+        used_fallback = !acc.transactional();
+        // A mismatch is a genuine CAS failure, not contention: return it,
+        // which commits the read-only transaction.
+        for (int i = 0; i < n; ++i) {
+          if (acc.load(words[i].addr) != words[i].expected) return false;
+        }
+        for (int i = 0; i < n; ++i) acc.store(words[i].addr, words[i].desired);
+        return true;
+      });
+  return {success, used_fallback};
 }
 
 }  // namespace bdhtm::sync

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <vector>
 
 #include "sync/rdcss.hpp"
@@ -16,23 +17,36 @@ std::uint64_t tagged(MwCAS::Descriptor* d) {
   return reinterpret_cast<std::uint64_t>(d) | kDescTag;
 }
 
-// Per-thread descriptor pools; recycled through EBR.
-struct DescPool {
-  std::vector<MwCAS::Descriptor*> free_list;
+// Per-thread descriptor pools, recycled through EBR; a pool frees its
+// descriptors when its thread exits.
+thread_local std::vector<std::unique_ptr<MwCAS::Descriptor>> t_pool;
+
+std::atomic<bool> g_ebr_closing{false};
+
+// Destroyed at process exit, after every thread's pool (thread-local
+// objects end before static ones).
+struct ClosingEbrDomain : EbrDomain {
+  ~ClosingEbrDomain() {
+    g_ebr_closing.store(true, std::memory_order_relaxed);
+    drain_for_teardown();
+  }
 };
-thread_local DescPool t_pool;
 
 }  // namespace
 
 EbrDomain& mwcas_ebr() {
-  static EbrDomain domain;
+  static ClosingEbrDomain domain;
   return domain;
 }
 
+bool mwcas_ebr_closing() {
+  return g_ebr_closing.load(std::memory_order_relaxed);
+}
+
 MwCAS::Descriptor* MwCAS::acquire_descriptor() {
-  if (!t_pool.free_list.empty()) {
-    Descriptor* d = t_pool.free_list.back();
-    t_pool.free_list.pop_back();
+  if (!t_pool.empty()) {
+    Descriptor* d = t_pool.back().release();
+    t_pool.pop_back();
     d->status.store(kUndecided, std::memory_order_relaxed);
     return d;
   }
@@ -43,7 +57,12 @@ void MwCAS::retire_descriptor(Descriptor* d) {
   mwcas_ebr().retire(
       d,
       [](void* p, void*) {
-        t_pool.free_list.push_back(static_cast<Descriptor*>(p));
+        auto* desc = static_cast<Descriptor*>(p);
+        if (mwcas_ebr_closing()) {
+          delete desc;
+        } else {
+          t_pool.emplace_back(desc);
+        }
       },
       nullptr);
 }

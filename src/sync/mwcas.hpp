@@ -34,8 +34,15 @@ inline constexpr std::uint64_t kDescTag = 1;
 
 constexpr bool is_descriptor(std::uint64_t v) { return (v & kDescTag) != 0; }
 
-/// Shared EBR domain for all MwCAS/PMwCAS descriptors in the process.
+/// Shared EBR domain for the volatile MwCAS descriptors and RDCSS
+/// records in the process. Reclaimed records go back to the reclaiming
+/// thread's pool, which frees them when the thread exits; at process
+/// exit the domain frees whatever is still in limbo.
 EbrDomain& mwcas_ebr();
+
+/// True once mwcas_ebr() is being torn down: the threads' pools are gone,
+/// so reclaim callbacks must free a record instead of recycling it.
+bool mwcas_ebr_closing();
 
 class MwCAS {
  public:

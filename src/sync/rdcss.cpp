@@ -1,5 +1,6 @@
 #include "sync/rdcss.hpp"
 
+#include <memory>
 #include <vector>
 
 #include "sync/mwcas.hpp"  // mwcas_ebr()
@@ -14,7 +15,8 @@ std::uint64_t tagged(RdcssDesc* r) {
   return reinterpret_cast<std::uint64_t>(r) | kRdcssTag;
 }
 
-thread_local std::vector<RdcssDesc*> t_rdcss_pool;
+// Per-thread record pool; its records are freed when the thread exits.
+thread_local std::vector<std::unique_ptr<RdcssDesc>> t_rdcss_pool;
 
 void complete(RdcssDesc* r) {
   const std::uint64_t s =
@@ -29,7 +31,7 @@ void complete(RdcssDesc* r) {
 
 RdcssDesc* rdcss_acquire() {
   if (!t_rdcss_pool.empty()) {
-    RdcssDesc* r = t_rdcss_pool.back();
+    RdcssDesc* r = t_rdcss_pool.back().release();
     t_rdcss_pool.pop_back();
     return r;
   }
@@ -38,13 +40,19 @@ RdcssDesc* rdcss_acquire() {
 
 void rdcss_retire(RdcssDesc* r) {
   mwcas_ebr().retire(
-      r, [](void* p, void*) {
-        t_rdcss_pool.push_back(static_cast<RdcssDesc*>(p));
+      r,
+      [](void* p, void*) {
+        auto* rec = static_cast<RdcssDesc*>(p);
+        if (mwcas_ebr_closing()) {
+          delete rec;
+        } else {
+          t_rdcss_pool.emplace_back(rec);
+        }
       },
       nullptr);
 }
 
-void rdcss_release_unused(RdcssDesc* r) { t_rdcss_pool.push_back(r); }
+void rdcss_release_unused(RdcssDesc* r) { t_rdcss_pool.emplace_back(r); }
 
 void rdcss_complete(std::uint64_t tagged_ptr) {
   complete(desc_of(tagged_ptr));

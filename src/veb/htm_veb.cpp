@@ -7,7 +7,7 @@ namespace bdhtm::veb {
 HTMvEB::HTMvEB(int ubits) : core_(ubits) {}
 
 bool HTMvEB::insert(std::uint64_t key, std::uint64_t value) {
-  return htm::elide<bool>(lock_, [&](auto& acc) {
+  return htm::elide<bool>(policy_, policy_.all(), [&](auto& acc) {
     if (std::uint64_t* slot = core_.slot_addr(acc, key)) {
       acc.store(slot, value);
       return false;
@@ -18,7 +18,7 @@ bool HTMvEB::insert(std::uint64_t key, std::uint64_t value) {
 }
 
 bool HTMvEB::remove(std::uint64_t key) {
-  return htm::elide<bool>(lock_, [&](auto& acc) {
+  return htm::elide<bool>(policy_, policy_.all(), [&](auto& acc) {
     if (core_.slot_addr(acc, key) == nullptr) return false;
     core_.remove_existing(acc, key);
     return true;
@@ -26,8 +26,9 @@ bool HTMvEB::remove(std::uint64_t key) {
 }
 
 std::optional<std::uint64_t> HTMvEB::find(std::uint64_t key) {
-  return htm::elide<std::optional<std::uint64_t>>(
-      lock_, [&](auto& acc) -> std::optional<std::uint64_t> {
+  using Out = std::optional<std::uint64_t>;
+  return htm::elide<Out>(
+      policy_, policy_.all(), [&](auto& acc) -> Out {
         if (std::uint64_t* slot = core_.slot_addr(acc, key)) {
           return acc.load(slot);
         }
@@ -38,8 +39,9 @@ std::optional<std::uint64_t> HTMvEB::find(std::uint64_t key) {
 std::optional<std::pair<std::uint64_t, std::uint64_t>> HTMvEB::successor(
     std::uint64_t key) {
   using Out = std::optional<std::pair<std::uint64_t, std::uint64_t>>;
-  return htm::elide<Out>(lock_,
-                         [&](auto& acc) { return core_.successor(acc, key); });
+  return htm::elide<Out>(policy_, policy_.all(), [&](auto& acc) {
+    return core_.successor(acc, key);
+  });
 }
 
 }  // namespace bdhtm::veb

@@ -2,9 +2,10 @@
 // the 1-stripe degenerate case, deadlock freedom of canonical-order
 // acquisition under adversarial overlapping footprints, global/striped
 // result equivalence against a sequential oracle when every op is forced
-// through the fallback, the checked-build fallback-stripe-order rule,
-// and crash consistency with a crash landing mid-workload on the striped
-// fallback path.
+// through the fallback, fallback causes that add up to the total under
+// concurrency, the checked-build fallback-stripe-order rule, and crash
+// consistency with a crash landing mid-workload on the striped fallback
+// path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,14 +19,18 @@
 #include "common/rng.hpp"
 #include "epoch/epoch_sys.hpp"
 #include "hash/bd_spash.hpp"
+#include "hash/spash.hpp"
 #include "htm/engine.hpp"
 #include "htm/fallback.hpp"
 #include "htm/retry.hpp"
 #include "nvm/device.hpp"
+#include "sync/htm_mwcas.hpp"
+#include "veb/htm_veb.hpp"
 
 namespace bdhtm {
 namespace {
 
+using htm::FallbackCause;
 using htm::FallbackPolicy;
 using htm::PolicyGuard;
 using htm::StripeMask;
@@ -69,7 +74,8 @@ TEST_F(FallbackPolicyTest, AllCoversExactlyTheStripes) {
 
 TEST_F(FallbackPolicyTest, SubscriptionAbortsOnlyOnOverlap) {
   FallbackPolicy pol(8);
-  PolicyGuard g(pol, 0b0011);  // hold stripes {0, 1}
+  // Hold stripes {0, 1}.
+  PolicyGuard g(pol, 0b0011, FallbackCause::kStructural);
   // Disjoint footprint commits; overlapping footprint aborts with the
   // policy's lock-subscription code. Same thread holds and probes — the
   // subscription tests the lock WORD, not ownership.
@@ -89,7 +95,7 @@ TEST_F(FallbackPolicyTest, HeldByThisThreadTracksGuardScope) {
   FallbackPolicy pol(16);
   EXPECT_EQ(pol.held_by_this_thread(), 0u);
   {
-    PolicyGuard g(pol, 0b1010);
+    PolicyGuard g(pol, 0b1010, FallbackCause::kStructural);
     EXPECT_EQ(pol.held_by_this_thread(), StripeMask{0b1010});
   }
   EXPECT_EQ(pol.held_by_this_thread(), 0u);
@@ -118,7 +124,7 @@ TEST_F(FallbackPolicyTest, CanonicalOrderIsDeadlockFreeUnderContention) {
         for (int j = 0; j < n; ++j) {
           mask |= StripeMask{1} << rng.next_below(8);
         }
-        PolicyGuard g(pol, mask);
+        PolicyGuard g(pol, mask, FallbackCause::kStructural);
         acquired.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -147,15 +153,16 @@ struct PolicyWorld {
 
 // Drive the same deterministic op sequence — with every transaction
 // forced onto the fallback path via certain spurious aborts — through a
-// global-policy and a striped-policy BD-Spash plus a std::map oracle.
-// Both structures must agree with the oracle exactly: the policy choice
+// global-policy and a striped-policy BD-Spash, an eADR Spash (which holds
+// FallbackPolicy(1), the paper's global lock) and a std::map oracle. All
+// three structures must agree with the oracle exactly: the policy choice
 // changes WHO serializes whom, never the results.
 TEST_F(FallbackPolicyTest, GlobalAndStripedAgreeWithOracleUnderFallbacks) {
   htm::EngineConfig ecfg;
   ecfg.spurious_abort_prob = 1.0;  // every attempt aborts => all fallback
   htm::configure(ecfg);
 
-  PolicyWorld w_global, w_striped;
+  PolicyWorld w_global, w_striped, w_spash;
   hash::BDSpash m_global(*w_global.es, /*initial_depth=*/4,
                          sizeof(epoch::KVPair),
                          hash::BDSpash::PersistRouting::kHybrid,
@@ -164,6 +171,7 @@ TEST_F(FallbackPolicyTest, GlobalAndStripedAgreeWithOracleUnderFallbacks) {
                           sizeof(epoch::KVPair),
                           hash::BDSpash::PersistRouting::kHybrid,
                           /*fallback_stripes=*/16);
+  hash::Spash m_spash(*w_spash.pa, /*initial_depth=*/4);
   std::map<std::uint64_t, std::uint64_t> oracle;
 
   Rng rng(42);
@@ -173,12 +181,14 @@ TEST_F(FallbackPolicyTest, GlobalAndStripedAgreeWithOracleUnderFallbacks) {
       const bool a = m_global.remove(k);
       const bool b = m_striped.remove(k);
       EXPECT_EQ(a, b);
+      EXPECT_EQ(a, m_spash.remove(k));
       EXPECT_EQ(a, oracle.erase(k) > 0);
     } else {
       const std::uint64_t v = rng.next_below(1u << 30);
       const bool a = m_global.insert(k, v);
       const bool b = m_striped.insert(k, v);
       EXPECT_EQ(a, b);
+      EXPECT_EQ(a, m_spash.insert(k, v));
       EXPECT_EQ(a, oracle.emplace(k, v).second);
       oracle[k] = v;
     }
@@ -187,15 +197,64 @@ TEST_F(FallbackPolicyTest, GlobalAndStripedAgreeWithOracleUnderFallbacks) {
   ASSERT_GT(st.fallback_acquisitions, 0u) << "fallbacks were not forced";
   for (std::uint64_t k = 0; k < (1 << 10); ++k) {
     const auto it = oracle.find(k);
-    EXPECT_EQ(m_global.find(k),
-              it == oracle.end()
-                  ? std::nullopt
-                  : std::optional<std::uint64_t>(it->second));
-    EXPECT_EQ(m_striped.find(k),
-              it == oracle.end()
-                  ? std::nullopt
-                  : std::optional<std::uint64_t>(it->second));
+    const std::optional<std::uint64_t> want =
+        it == oracle.end() ? std::nullopt
+                           : std::optional<std::uint64_t>(it->second);
+    EXPECT_EQ(m_global.find(k), want);
+    EXPECT_EQ(m_striped.find(k), want);
+    EXPECT_EQ(m_spash.find(k), want);
   }
+}
+
+// ---- Fallback causes add up ----
+
+// Every fallback acquisition names exactly one cause, so the causes add
+// up to htm.fallback.total, under concurrency too. BD-Spash starts at
+// depth 1, so inserts keep splitting (structural acquisitions of every
+// stripe), and frequent spurious aborts push elide() onto the fallback;
+// a contended HTM-MwCAS and an HTM-vEB run in the same threads.
+TEST_F(FallbackPolicyTest, FallbackCausesAddUpUnderConcurrency) {
+  htm::EngineConfig ecfg;
+  ecfg.spurious_abort_prob = 0.8;
+  htm::configure(ecfg);
+
+  PolicyWorld w;
+  hash::BDSpash spash(*w.es, /*initial_depth=*/1);
+  veb::HTMvEB veb(/*ubits=*/10);
+  sync::HTMMwCAS mw;
+  alignas(8) std::uint64_t words[4] = {};
+  constexpr int kThreads = 4;
+  constexpr int kOps = 1000;
+  std::vector<std::thread> ths;
+  for (int t = 0; t < kThreads; ++t) {
+    ths.emplace_back([&, t] {
+      Rng rng(0xca05e + t);
+      for (int i = 0; i < kOps; ++i) {
+        const std::uint64_t k = rng.next_below(1 << 12);
+        spash.insert(k, k + 1);
+        if (rng.next_below(2) == 0) {
+          veb.insert(k & 1023, k);
+        } else {
+          veb.remove(k & 1023);
+        }
+        const int a = static_cast<int>(rng.next_below(4));
+        const int b = (a + 1) % 4;
+        const std::uint64_t va = mw.read(&words[a]);
+        const std::uint64_t vb = mw.read(&words[b]);
+        sync::HTMMwCAS::Word cas[2] = {{&words[a], va, va + 1},
+                                       {&words[b], vb, vb + 1}};
+        (void)mw.execute(cas, 2);
+      }
+    });
+  }
+  for (auto& th : ths) th.join();
+
+  const auto s = htm::collect_stats();
+  EXPECT_GT(s.fallbacks_structural, 0u) << "no split ran";
+  EXPECT_GT(s.fallbacks_exhausted, 0u) << "no fallback was forced";
+  EXPECT_EQ(s.fallback_acquisitions,
+            s.fallbacks_lockwait + s.fallbacks_exhausted +
+                s.fallbacks_wait_timeout + s.fallbacks_structural);
 }
 
 // ---- Checked-build rule: fallback-stripe-order ----
@@ -359,7 +418,7 @@ TEST_F(FallbackPolicyTest, WatchdogTripsWhileStripedHolderMidCriticalSection) {
   std::thread holder([&] {
     es.beginOp();
     {
-      PolicyGuard g(pol, 0b0011);
+      PolicyGuard g(pol, 0b0011, FallbackCause::kStructural);
       holder_in.store(true, std::memory_order_release);
       std::this_thread::sleep_for(std::chrono::milliseconds(150));
     }

@@ -10,6 +10,7 @@
 #include "common/checked.hpp"
 #include "common/threading.hpp"
 #include "htm/engine.hpp"
+#include "htm/fallback.hpp"
 
 namespace bdhtm {
 namespace {
@@ -158,15 +159,16 @@ TEST_F(HtmTest, StatsCountCommitsAndAborts) {
   EXPECT_EQ(s.attempts(), 2u);
 }
 
-TEST_F(HtmTest, ElidedLockSubscriptionAbortsWhenHeld) {
-  htm::ElidedLock lock;
-  lock.acquire();
-  const unsigned st = htm::run([&](htm::Txn& tx) { lock.subscribe(tx, 0x52); });
+TEST_F(HtmTest, GlobalLockSubscriptionAbortsWhenHeld) {
+  htm::FallbackPolicy lock(1);
+  lock.acquire(lock.all(), htm::FallbackCause::kStructural);
+  const unsigned st =
+      htm::run([&](htm::Txn& tx) { lock.subscribe(tx, lock.all()); });
   EXPECT_TRUE(st & htm::kAbortExplicit);
   EXPECT_EQ(htm::explicit_code(st), 0x52);
-  lock.release();
+  lock.release(lock.all());
   const unsigned st2 =
-      htm::run([&](htm::Txn& tx) { lock.subscribe(tx, 0x52); });
+      htm::run([&](htm::Txn& tx) { lock.subscribe(tx, lock.all()); });
   EXPECT_EQ(st2, htm::kCommitted);
 }
 
@@ -175,17 +177,16 @@ TEST_F(HtmTest, FallbackAcquisitionAbortsSubscribedTxn) {
   // Acquiring in-transaction is a deliberate violation (the checked build
   // reports irrevocable-in-tx); capture the report instead of aborting.
   checked::ScopedHandler guard(+[](checked::Rule, const char*) {});
-  htm::ElidedLock lock;
+  htm::FallbackPolicy lock(1);
   alignas(8) std::uint64_t x = 0;
   const unsigned st = htm::run([&](htm::Txn& tx) {
-    lock.subscribe(tx, 0x52);
-    // txlint: allow(irrevocable-in-tx) -- simulates a concurrent fallback
-    lock.acquire();  // simulates another thread taking the fallback path
+    lock.subscribe(tx, lock.all());
+    lock.acquire_stripe(0);  // simulates another thread's fallback path
     tx.store(&x, std::uint64_t{1});
   });
   EXPECT_TRUE(st & htm::kAbortConflict);
   EXPECT_EQ(x, 0u);
-  lock.release();
+  lock.release_stripe(0);
 }
 
 TEST_F(HtmTest, NontxLoadNeverSeesSpeculativeState) {
@@ -204,7 +205,7 @@ TEST_F(HtmTest, ConcurrentCountersConserveTotal) {
   // N threads move units between two cells transactionally; the sum is
   // invariant under atomicity. Retry loop with fallback mirrors real use.
   alignas(8) std::uint64_t a = 1'000'000, b = 0;
-  htm::ElidedLock lock;
+  htm::FallbackPolicy lock(1);
   constexpr int kThreads = 4;
   constexpr int kMoves = 20'000;
   std::vector<std::thread> ths;
@@ -214,7 +215,7 @@ TEST_F(HtmTest, ConcurrentCountersConserveTotal) {
         int attempts = 0;
         for (;;) {
           const unsigned st = htm::run([&](htm::Txn& tx) {
-            lock.subscribe(tx, 1);
+            lock.subscribe(tx, lock.all());
             const auto va = tx.load(&a);
             const auto vb = tx.load(&b);
             tx.store(&a, va - 1);
@@ -222,7 +223,8 @@ TEST_F(HtmTest, ConcurrentCountersConserveTotal) {
           });
           if (st == htm::kCommitted) break;
           if (++attempts > 8) {  // fallback path
-            htm::FallbackGuard g(lock);
+            htm::PolicyGuard g(lock, lock.all(),
+                               htm::FallbackCause::kRetryExhausted);
             const auto va = htm::nontx_load(&a);
             const auto vb = htm::nontx_load(&b);
             htm::nontx_store(&a, va - 1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "common/rng.hpp"
 #include "htm/engine.hpp"
 #include "nvm/device.hpp"
+#include "obs/metrics.hpp"
 #include "sync/htm_mwcas.hpp"
 #include "sync/mwcas.hpp"
 #include "sync/pmwcas.hpp"
@@ -277,12 +279,47 @@ TEST_F(HtmMwcasTest, FallbackUnderPersistentAborts) {
   cfg.spurious_abort_prob = 1.0;
   htm::configure(cfg);
   alignas(8) std::uint64_t a = 2;
-  HTMMwCAS mw(/*max_retries=*/3);
+  HTMMwCAS mw;
   HTMMwCAS::Word w[1] = {{&a, 2, 4}};
   const auto r = mw.execute(w, 1);
   EXPECT_TRUE(r.success);
   EXPECT_TRUE(r.used_fallback);
   EXPECT_EQ(mw.read(&a), 4u);
+}
+
+// execute() waits behind a fallback holder only up to elide()'s total-wait
+// deadline (ElideOptions::max_wait_us), then takes the fallback itself,
+// counted as a wait_timeout. The holder releases once that count moves,
+// bounded at 10 s: a worker that never times out fails the checks below
+// instead of hanging the suite.
+TEST_F(HtmMwcasTest, LockWaitEndsAtTheElideDeadline) {
+  alignas(8) std::uint64_t a = 2;
+  HTMMwCAS mw;
+  htm::FallbackPolicy& pol = mw.fallback_policy();
+  pol.acquire(pol.all(), htm::FallbackCause::kStructural);
+  auto& wait_timeouts =
+      obs::Registry::global().counter("htm.fallback.wait_timeout");
+  const std::uint64_t before = wait_timeouts.total();
+  HTMMwCAS::Result r{false, false};
+  std::thread worker([&] {
+    HTMMwCAS::Word w[1] = {{&a, 2, 4}};
+    r = mw.execute(w, 1);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (wait_timeouts.total() == before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  pol.release(pol.all());
+  worker.join();
+  EXPECT_TRUE(r.success);
+  EXPECT_TRUE(r.used_fallback);
+  EXPECT_EQ(mw.read(&a), 4u);
+  const auto s = htm::collect_stats();
+  EXPECT_EQ(s.fallbacks_wait_timeout, 1u);
+  EXPECT_EQ(s.fallbacks_structural, 1u);   // the holder
+  EXPECT_EQ(s.fallback_acquisitions, 2u);  // holder + worker fallback
 }
 
 TEST_F(HtmMwcasTest, MismatchDoesNotFallBack) {

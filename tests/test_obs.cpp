@@ -733,9 +733,9 @@ class ObsElideTest : public ::testing::Test {
 };
 
 TEST_F(ObsElideTest, CommitCountsNoFallback) {
-  htm::ElidedLock lock;
+  htm::FallbackPolicy lock(1);
   alignas(8) std::uint64_t x = 0;
-  const int r = htm::elide<int>(lock, [&](auto& acc) {
+  const int r = htm::elide<int>(lock, lock.all(), [&](auto& acc) {
     acc.store(&x, std::uint64_t{5});
     return 1;
   });
@@ -752,12 +752,12 @@ TEST_F(ObsElideTest, RetryBudgetExhaustionCountsAsExhausted) {
   htm::EngineConfig cfg;
   cfg.spurious_abort_prob = 1.0;  // every attempt aborts
   htm::configure(cfg);
-  htm::ElidedLock lock;
+  htm::FallbackPolicy lock(1);
   htm::ElideOptions opts;
   opts.max_retries = 3;
   alignas(8) std::uint64_t x = 0;
   const int r = htm::elide<int>(
-      lock,
+      lock, lock.all(),
       [&](auto& acc) {
         acc.store(&x, std::uint64_t{9});
         return 4;
@@ -773,15 +773,16 @@ TEST_F(ObsElideTest, RetryBudgetExhaustionCountsAsExhausted) {
 }
 
 TEST_F(ObsElideTest, LockWaitBoundCountsAsLockwaitFallback) {
-  htm::ElidedLock lock;
-  lock.acquire();  // main thread plays the fallback holder (counts one
-                   // fallback_acquisition)
+  htm::FallbackPolicy lock(1);
+  // The main thread plays the fallback holder: one structural
+  // fallback acquisition.
+  lock.acquire(lock.all(), htm::FallbackCause::kStructural);
   htm::ElideOptions opts;
   opts.max_lock_waits = 1;  // give up after the first subscription abort
   alignas(8) std::uint64_t x = 0;
   std::thread worker([&] {
     const int r = htm::elide<int>(
-        lock,
+        lock, lock.all(),
         [&](auto& acc) {
           acc.store(&x, std::uint64_t{3});
           return 2;
@@ -792,19 +793,21 @@ TEST_F(ObsElideTest, LockWaitBoundCountsAsLockwaitFallback) {
   // The worker hits the lock-wait bound, attributes the fallback, then
   // blocks acquiring the lock until the holder releases.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  lock.release();
+  lock.release(lock.all());
   worker.join();
   EXPECT_EQ(x, 3u);
   const auto s = htm::collect_stats();
   EXPECT_GE(s.aborts_lock_subscription, 1u);
   EXPECT_EQ(s.fallbacks_lockwait, 1u);
   EXPECT_EQ(s.fallbacks_exhausted, 0u);
+  EXPECT_EQ(s.fallbacks_structural, 1u);   // the holder
   EXPECT_EQ(s.fallback_acquisitions, 2u);  // holder + worker fallback
 }
 
 TEST_F(ObsElideTest, WaitDeadlineCountsAsWaitTimeoutFallback) {
-  htm::ElidedLock lock;
-  lock.acquire();  // holder sits on the lock far longer than the deadline
+  htm::FallbackPolicy lock(1);
+  // The holder sits on the lock far longer than the deadline.
+  lock.acquire(lock.all(), htm::FallbackCause::kStructural);
   htm::ElideOptions opts;
   opts.max_wait_us = 1'000;        // 1ms total-wait deadline...
   opts.max_lock_waits = 1 << 20;   // ...and the count bound can't trip
@@ -813,7 +816,7 @@ TEST_F(ObsElideTest, WaitDeadlineCountsAsWaitTimeoutFallback) {
       obs::Registry::global().counter("htm.fallback.wait_timeout").total();
   std::thread worker([&] {
     const int r = htm::elide<int>(
-        lock,
+        lock, lock.all(),
         [&](auto& acc) {
           acc.store(&x, std::uint64_t{5});
           return 6;
@@ -834,13 +837,14 @@ TEST_F(ObsElideTest, WaitDeadlineCountsAsWaitTimeoutFallback) {
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  lock.release();
+  lock.release(lock.all());
   worker.join();
   EXPECT_EQ(x, 5u);
   const auto s = htm::collect_stats();
   EXPECT_EQ(s.fallbacks_wait_timeout, 1u);
   EXPECT_EQ(s.fallbacks_lockwait, 0u);
   EXPECT_EQ(s.fallbacks_exhausted, 0u);
+  EXPECT_EQ(s.fallbacks_structural, 1u);   // the holder
   EXPECT_EQ(s.fallback_acquisitions, 2u);  // holder + worker fallback
   const std::uint64_t after =
       obs::Registry::global().counter("htm.fallback.wait_timeout").total();
@@ -850,7 +854,8 @@ TEST_F(ObsElideTest, WaitDeadlineCountsAsWaitTimeoutFallback) {
 TEST_F(ObsElideTest, WaitDeadlineAppliesToStripedPolicyElide) {
   htm::FallbackPolicy pol(4);
   const htm::StripeMask mask = pol.mask_of_hash(1);
-  pol.acquire(mask);  // holder pins the worker's stripe
+  // The holder pins the worker's stripe.
+  pol.acquire(mask, htm::FallbackCause::kStructural);
   htm::ElideOptions opts;
   opts.max_wait_us = 1'000;
   opts.max_lock_waits = 1 << 20;
@@ -872,19 +877,20 @@ TEST_F(ObsElideTest, WaitDeadlineAppliesToStripedPolicyElide) {
   const auto s = htm::collect_stats();
   EXPECT_EQ(s.fallbacks_wait_timeout, 1u);
   EXPECT_EQ(s.fallbacks_lockwait, 0u);
+  EXPECT_EQ(s.fallbacks_structural, 1u);
   EXPECT_EQ(s.fallback_acquisitions, 2u);
 }
 
 TEST_F(ObsElideTest, ZeroWaitDeadlineMeansUnbounded) {
-  htm::ElidedLock lock;
-  lock.acquire();
+  htm::FallbackPolicy lock(1);
+  lock.acquire(lock.all(), htm::FallbackCause::kStructural);
   htm::ElideOptions opts;
   opts.max_wait_us = 0;           // opt back into the unbounded paper wait
   opts.max_lock_waits = 1 << 20;
   alignas(8) std::uint64_t x = 0;
   std::thread worker([&] {
     const int r = htm::elide<int>(
-        lock,
+        lock, lock.all(),
         [&](auto& acc) {
           acc.store(&x, std::uint64_t{1});
           return 2;
@@ -896,7 +902,7 @@ TEST_F(ObsElideTest, ZeroWaitDeadlineMeansUnbounded) {
   // magnitude at this scale; the worker must still be waiting (not
   // timed out) and then commit transactionally.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  lock.release();
+  lock.release(lock.all());
   worker.join();
   EXPECT_EQ(x, 1u);
   const auto s = htm::collect_stats();

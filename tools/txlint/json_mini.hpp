@@ -1,6 +1,6 @@
 // Minimal recursive-descent JSON reader (header-only, no dependencies).
-// Used by txlint to load baseline.json, the --since symbol-table cache,
-// and to structurally validate emitted SARIF — NOT a general-purpose
+// Used by txlint to load baseline.json and to structurally validate
+// emitted SARIF — NOT a general-purpose
 // parser: numbers are stored as double plus the raw text, and input is
 // assumed to be reasonably sized (whole-document in memory).
 #pragma once
@@ -38,11 +38,6 @@ struct Value {
   }
   const std::string& str() const { return raw; }
   std::int64_t as_int() const { return static_cast<std::int64_t>(num); }
-  /// Full-precision unsigned read from the literal text — `num` is a
-  /// double and silently rounds integers above 2^53 (e.g. mtime_ns).
-  std::uint64_t as_u64() const {
-    return std::strtoull(raw.c_str(), nullptr, 10);
-  }
 };
 
 class Parser {

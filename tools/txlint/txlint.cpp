@@ -1,8 +1,7 @@
 // txlint v2 — whole-program BD-HTM protocol analyzer (DESIGN.md §9).
 //
-// Driver: expands inputs, runs pass 1 per file (or loads it from the
-// --symtab-cache when the file is unchanged), merges everything into a
-// Program, runs pass-2 context propagation, then reports — human text,
+// Driver: expands inputs, runs pass 1 per file, merges everything into
+// a Program, runs pass-2 context propagation, then reports — human text,
 // JSON (bdhtm-txlint/2), SARIF 2.1.0 with call-path code flows — and
 // optionally gates against a checked-in baseline so CI fails only on
 // NEW findings.
@@ -14,9 +13,6 @@
 //     --write-baseline <path>    write current findings as the baseline
 //     --relative-to <dir>        record paths relative to <dir>
 //     --exclude <substr>         skip paths containing <substr> (repeat ok)
-//     --since <rev>              git-changed files re-analyze; rest may
-//                                come from the symbol-table cache
-//     --symtab-cache <path>      read/write the pass-1 cache
 //     --verify-expectations      corpus mode: each file is its own
 //                                program, checked against txlint-expect
 //     --validate-sarif <path>    validate a SARIF file and exit
@@ -26,20 +22,17 @@
 // 1 findings (or expectation mismatch / new findings), 2 usage or I/O.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analyze.hpp"
-#include "cache.hpp"
 #include "json_mini.hpp"
 #include "model.hpp"
 #include "sarif.hpp"
@@ -62,49 +55,12 @@ bool scannable(const std::filesystem::path& p) {
          ext == ".h" || ext == ".hh" || ext == ".ipp";
 }
 
-void stat_file(const std::filesystem::path& p, std::uint64_t* size,
-               std::uint64_t* mtime_ns) {
-  std::error_code ec;
-  *size = static_cast<std::uint64_t>(std::filesystem::file_size(p, ec));
-  if (ec) *size = 0;
-  auto t = std::filesystem::last_write_time(p, ec);
-  *mtime_ns =
-      ec ? 0
-         : static_cast<std::uint64_t>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   t.time_since_epoch())
-                   .count());
-}
-
-/// Files changed since <rev> per git; returns false when git is
-/// unavailable (caller falls back to stat-only cache validation).
-bool git_changed_since(const std::string& rev,
-                       std::set<std::string>* changed) {
-  const std::string cmd =
-      "git diff --name-only " + rev + " -- 2>/dev/null";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return false;
-  char buf[4096];
-  std::string acc;
-  while (fgets(buf, sizeof(buf), pipe) != nullptr) acc += buf;
-  const int rc = pclose(pipe);
-  if (rc != 0) return false;
-  std::stringstream ss(acc);
-  std::string line;
-  while (std::getline(ss, line)) {
-    if (!line.empty()) changed->insert(line);
-  }
-  return true;
-}
-
 struct Options {
   std::string json_path;
   std::string sarif_path;
   std::string baseline_path;
   std::string write_baseline_path;
   std::string relative_to;
-  std::string since_rev;
-  std::string symtab_cache;
   std::vector<std::string> excludes;
   bool verify_expectations = false;
   bool exit_zero = false;
@@ -117,7 +73,6 @@ int usage(int code) {
       "usage: txlint [--json out.json] [--sarif out.sarif]\n"
       "              [--baseline baseline.json] [--write-baseline path]\n"
       "              [--relative-to dir] [--exclude substr]...\n"
-      "              [--since rev] [--symtab-cache path]\n"
       "              [--verify-expectations] [--exit-zero] <file|dir>...\n"
       "       txlint --validate-sarif report.sarif\n");
   return code;
@@ -239,66 +194,16 @@ int run(const Options& opt) {
     return false;
   };
 
-  // Incremental state: cached pass-1 models and the git-changed set.
-  std::map<std::string, FileModel> cache;
-  if (!opt.symtab_cache.empty()) {
-    cache = load_symtab_cache(opt.symtab_cache);
-  }
-  std::set<std::string> changed;
-  bool have_changed_set = false;
-  if (!opt.since_rev.empty()) {
-    have_changed_set = git_changed_since(opt.since_rev, &changed);
-    if (!have_changed_set) {
-      std::fprintf(stderr,
-                   "txlint: note: git unavailable for --since %s; using "
-                   "stat-based cache validation only\n",
-                   opt.since_rev.c_str());
-    }
-  }
-
   Program program;
-  int reused = 0;
   for (const auto& f : files) {
     const std::string rp = rel_path(f);
     if (excluded(rp)) continue;
-    std::uint64_t size = 0;
-    std::uint64_t mtime_ns = 0;
-    stat_file(f, &size, &mtime_ns);
-
-    bool from_cache = false;
-    if (auto it = cache.find(rp); it != cache.end()) {
-      const bool stat_ok =
-          it->second.size == size && it->second.mtime_ns == mtime_ns;
-      const bool git_ok = !have_changed_set || changed.count(rp) == 0;
-      if (stat_ok && git_ok) {
-        program.add(it->second);
-        from_cache = true;
-        ++reused;
-      }
+    std::string src;
+    if (!read_file(f, &src)) {
+      std::fprintf(stderr, "txlint: cannot read '%s'\n", f.string().c_str());
+      return 2;
     }
-    if (!from_cache) {
-      std::string src;
-      if (!read_file(f, &src)) {
-        std::fprintf(stderr, "txlint: cannot read '%s'\n",
-                     f.string().c_str());
-        return 2;
-      }
-      FileModel fm = analyze_file(rp, src);
-      fm.size = size;
-      fm.mtime_ns = mtime_ns;
-      program.add(std::move(fm));
-    }
-  }
-  if (!opt.symtab_cache.empty()) {
-    if (!save_symtab_cache(opt.symtab_cache, program.files())) {
-      std::fprintf(stderr, "txlint: warning: cannot write cache '%s'\n",
-                   opt.symtab_cache.c_str());
-    }
-    if (reused > 0) {
-      std::fprintf(stderr,
-                   "txlint: incremental: %d/%zu file(s) from symtab cache\n",
-                   reused, program.files().size());
-    }
+    program.add(analyze_file(rp, src));
   }
 
   // ---- Corpus mode: each file is its own program ----
@@ -501,12 +406,6 @@ int main(int argc, char** argv) {
     } else if (a == "--exclude") {
       if ((v = need(&i)) == nullptr) return 2;
       opt.excludes.emplace_back(v);
-    } else if (a == "--since") {
-      if ((v = need(&i)) == nullptr) return 2;
-      opt.since_rev = v;
-    } else if (a == "--symtab-cache") {
-      if ((v = need(&i)) == nullptr) return 2;
-      opt.symtab_cache = v;
     } else if (a == "--validate-sarif") {
       if ((v = need(&i)) == nullptr) return 2;
       validate_path = v;
